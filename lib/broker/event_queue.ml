@@ -7,9 +7,10 @@ type 'a t = {
   mutable len : int;
   mutable next_seq : int;
   (* Cancellation is lazy: a cancelled cell stays in the heap (keyed by
-     its unique [seq]) until it reaches the top, where it is discarded.
-     [cancelable] holds the seqs of live cancelable cells, [cancelled]
-     the seqs waiting to be skimmed off. *)
+     its unique [seq]) until it reaches the top, where it is discarded,
+     or until cancelled cells outnumber live ones and [compact] sweeps
+     them all out. [cancelable] holds the seqs of live cancelable cells,
+     [cancelled] the seqs waiting to be skimmed off. *)
   cancelable : (int, unit) Hashtbl.t;
   cancelled : (int, unit) Hashtbl.t;
 }
@@ -77,10 +78,39 @@ let push_cancelable q ~time payload =
   Hashtbl.replace q.cancelable seq ();
   seq
 
+(* Drop every cancelled cell and re-heapify the survivors. Pop order
+   cannot change: (time, seq) is a strict total order, so any valid
+   heap over the same live cells pops them identically. The freed
+   slots are overwritten so the dropped payloads become unreachable.
+   It runs only once cancelled cells outnumber live ones, so each
+   cancelled cell is swept at most once and the cost amortizes to O(1)
+   per cancel. *)
+let compact q =
+  let old_len = q.len in
+  let n = ref 0 in
+  for i = 0 to old_len - 1 do
+    let c = q.heap.(i) in
+    if not (Hashtbl.mem q.cancelled c.seq) then begin
+      q.heap.(!n) <- c;
+      incr n
+    end
+  done;
+  q.len <- !n;
+  Hashtbl.reset q.cancelled;
+  if q.len = 0 then q.heap <- [||]
+  else begin
+    Array.fill q.heap q.len (old_len - q.len) q.heap.(0);
+    for i = (q.len / 2) - 1 downto 0 do
+      sift_down q i
+    done
+  end
+
 let cancel q h =
   if Hashtbl.mem q.cancelable h then begin
     Hashtbl.remove q.cancelable h;
     Hashtbl.replace q.cancelled h ();
+    if Hashtbl.length q.cancelled > q.len - Hashtbl.length q.cancelled then
+      compact q;
     true
   end
   else false

@@ -17,8 +17,10 @@ val push : 'a t -> time:float -> 'a -> unit
 
 val push_cancelable : 'a t -> time:float -> 'a -> handle
 (** Like {!push} but returns a handle the event can be cancelled by.
-    Cancellation is lazy: the slot is skimmed off when it surfaces, so
-    scheduling stays O(log n) and cancelling O(1). *)
+    Cancellation is lazy: the slot is skimmed off when it surfaces, or
+    swept out with every other cancelled slot once they outnumber the
+    live events — so scheduling stays O(log n), cancelling amortized
+    O(1), and cancelled far-future events do not pile up. *)
 
 val cancel : 'a t -> handle -> bool
 (** [cancel q h] prevents the event named by [h] from ever being

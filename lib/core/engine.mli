@@ -110,10 +110,10 @@ val check :
     sequential engine for the same seed; a pool is purely a
     performance knob.
 
-    [?packed] must be [Flat.pack] of [subs]; callers that check many
-    subscriptions against a stable set (the subscription store) pass
-    their cached pack so the engine skips re-packing. Omitted, the
-    engine packs internally.
+    [?packed] must hold the bounds of [subs] row for row ([Flat.pack]
+    of [subs], or a {!Flat.view} of the same rows); the subscription
+    store passes the view of the active set it maintains in place, so
+    the engine skips packing. Omitted, the engine packs internally.
     @raise Invalid_argument on an arity mismatch or when [packed]
     disagrees with [subs]. *)
 

@@ -6,14 +6,17 @@
 (* Structure-of-arrays subscription kernels.
 
    A packed set stores all bounds of k subscriptions in ONE int array:
-   the lo plane occupies [0, k*m) and the hi plane [k*m, 2*k*m), both
+   the lo plane occupies [0, k*m) and the hi plane [hi, hi + k*m), both
    in row-major order (bounds.(i*m + j) is subscription i's lower bound
-   on attribute j). The escape test of an RSPC trial then reads
-   consecutive machine ints instead of chasing
-   array -> Subscription.t -> Interval.t pointers, and a trial loop
-   that fills a preallocated point buffer allocates nothing. *)
+   on attribute j). A fresh pack puts the hi plane right after the lo
+   plane (hi = k*m); a view of a growable {!rows} buffer puts it at the
+   buffer's capacity, so the view shares the buffer instead of copying
+   it. The escape test of an RSPC trial then reads consecutive machine
+   ints instead of chasing array -> Subscription.t -> Interval.t
+   pointers, and a trial loop that fills a preallocated point buffer
+   allocates nothing. *)
 
-type t = { k : int; m : int; bounds : int array }
+type t = { k : int; m : int; hi : int; bounds : int array }
 
 type box = { bm : int; blo : int array; bhi : int array }
 
@@ -24,8 +27,8 @@ let box_arity b = b.bm
 let pack ~m subs =
   if m < 1 then invalid_arg "Flat.pack: arity < 1";
   let k = Array.length subs in
-  let bounds = Array.make (2 * k * m) 0 in
   let km = k * m in
+  let bounds = Array.make (2 * km) 0 in
   for i = 0 to k - 1 do
     let si = subs.(i) in
     if Subscription.arity si <> m then invalid_arg "Flat.pack: arity mismatch";
@@ -36,7 +39,7 @@ let pack ~m subs =
       bounds.(km + base + j) <- Interval.hi r
     done
   done;
-  { k; m; bounds }
+  { k; m; hi = km; bounds }
 
 let box_of_sub s =
   let m = Subscription.arity s in
@@ -56,27 +59,89 @@ let lo t ~row ~attr =
 let hi t ~row ~attr =
   if row < 0 || row >= t.k then invalid_arg "Flat.hi: row";
   if attr < 0 || attr >= t.m then invalid_arg "Flat.hi: attr";
-  t.bounds.((t.k * t.m) + (row * t.m) + attr)
+  t.bounds.(t.hi + (row * t.m) + attr)
 
 let row_sub t row =
   if row < 0 || row >= t.k then invalid_arg "Flat.row_sub: row";
-  let base = row * t.m and km = t.k * t.m in
+  let base = row * t.m in
   Subscription.make
     (Array.init t.m (fun j ->
-         Interval.make ~lo:t.bounds.(base + j) ~hi:t.bounds.(km + base + j)))
+         Interval.make ~lo:t.bounds.(base + j) ~hi:t.bounds.(t.hi + base + j)))
 
 let gather t rows =
   let k' = Array.length rows in
   let m = t.m in
-  let km = t.k * m and km' = k' * m in
+  let km' = k' * m in
   let bounds = Array.make (2 * km') 0 in
   for i = 0 to k' - 1 do
     let row = rows.(i) in
     if row < 0 || row >= t.k then invalid_arg "Flat.gather: row";
     Array.blit t.bounds (row * m) bounds (i * m) m;
-    Array.blit t.bounds (km + (row * m)) bounds (km' + (i * m)) m
+    Array.blit t.bounds (t.hi + (row * m)) bounds (km' + (i * m)) m
   done;
-  { k = k'; m; bounds }
+  { k = k'; m; hi = km'; bounds }
+
+let equal a b =
+  a.k = b.k && a.m = b.m
+  &&
+  let same = ref true in
+  for i = 0 to (a.k * a.m) - 1 do
+    if
+      a.bounds.(i) <> b.bounds.(i)
+      || a.bounds.(a.hi + i) <> b.bounds.(b.hi + i)
+    then same := false
+  done;
+  !same
+
+(* ------------------------------------------------------------------ *)
+(* Growable packs: rows inserted and deleted in place *)
+
+(* The two planes of up to [cap] rows: lo at [0, n*m), hi at
+   [cap*m, cap*m + n*m). Inserting or deleting a row shifts the rows
+   after it in both planes; growing doubles [cap] and moves the hi
+   plane to the new offset. *)
+type rows = { rm : int; mutable n : int; mutable cap : int; mutable buf : int array }
+
+let rows_create ~m =
+  if m < 1 then invalid_arg "Flat.rows_create: arity < 1";
+  { rm = m; n = 0; cap = 0; buf = [||] }
+
+let grow r =
+  let m = r.rm in
+  let cap = max 8 (2 * r.cap) in
+  let buf = Array.make (2 * cap * m) 0 in
+  Array.blit r.buf 0 buf 0 (r.n * m);
+  Array.blit r.buf (r.cap * m) buf (cap * m) (r.n * m);
+  r.buf <- buf;
+  r.cap <- cap
+
+let rows_insert r ~at s =
+  if at < 0 || at > r.n then invalid_arg "Flat.rows_insert: row";
+  if Subscription.arity s <> r.rm then
+    invalid_arg "Flat.rows_insert: arity mismatch";
+  if r.n = r.cap then grow r;
+  let m = r.rm in
+  let hi = r.cap * m and base = at * m in
+  let tail = (r.n - at) * m in
+  Array.blit r.buf base r.buf (base + m) tail;
+  Array.blit r.buf (hi + base) r.buf (hi + base + m) tail;
+  for j = 0 to m - 1 do
+    let iv = Subscription.range s j in
+    r.buf.(base + j) <- Interval.lo iv;
+    r.buf.(hi + base + j) <- Interval.hi iv
+  done;
+  r.n <- r.n + 1
+
+let rows_delete r ~at =
+  if at < 0 || at >= r.n then invalid_arg "Flat.rows_delete: row";
+  let m = r.rm in
+  let hi = r.cap * m and base = at * m in
+  let tail = (r.n - at - 1) * m in
+  Array.blit r.buf (base + m) r.buf base tail;
+  Array.blit r.buf (hi + base + m) r.buf (hi + base) tail;
+  r.n <- r.n - 1
+
+let view r = { k = r.n; m = r.rm; hi = r.cap * r.rm; bounds = r.buf }
 
 (* ------------------------------------------------------------------ *)
 (* Allocation-free trial kernels *)
@@ -114,7 +179,7 @@ let random_points_into ~rng box buf ~n =
    let-generalizes to ['a array] and every [<=] compiles to a
    [caml_lessequal] call — an order of magnitude slower than the
    unboxed integer compare. *)
-let[@inline] covers_row_at (bounds : int array) ~km ~base ~m
+let[@inline] covers_row_at (bounds : int array) ~hi ~base ~m
     (buf : int array) ~off =
   let j = ref 0 in
   let inside = ref true in
@@ -122,28 +187,27 @@ let[@inline] covers_row_at (bounds : int array) ~km ~base ~m
     let v = Array.unsafe_get buf (off + !j) in
     inside :=
       Array.unsafe_get bounds (base + !j) <= v
-      && v <= Array.unsafe_get bounds (km + base + !j);
+      && v <= Array.unsafe_get bounds (hi + base + !j);
     incr j
   done;
   !inside
 
-let[@inline] covers_row_unsafe (bounds : int array) ~km ~base ~m
+let[@inline] covers_row_unsafe (bounds : int array) ~hi ~base ~m
     (p : int array) =
-  covers_row_at bounds ~km ~base ~m p ~off:0
+  covers_row_at bounds ~hi ~base ~m p ~off:0
 
 let covers_row t ~row p =
   if row < 0 || row >= t.k then invalid_arg "Flat.covers_row: row";
   if Array.length p <> t.m then invalid_arg "Flat.covers_row: arity mismatch";
-  covers_row_unsafe t.bounds ~km:(t.k * t.m) ~base:(row * t.m) ~m:t.m p
+  covers_row_unsafe t.bounds ~hi:t.hi ~base:(row * t.m) ~m:t.m p
 
 let escapes t p =
   if Array.length p <> t.m then invalid_arg "Flat.escapes: arity mismatch";
-  let bounds = t.bounds and m = t.m in
-  let km = t.k * m in
+  let bounds = t.bounds and m = t.m and hi = t.hi in
   let i = ref 0 in
   let escaped = ref true in
   while !escaped && !i < t.k do
-    if covers_row_unsafe bounds ~km ~base:(!i * m) ~m p then escaped := false;
+    if covers_row_unsafe bounds ~hi ~base:(!i * m) ~m p then escaped := false;
     incr i
   done;
   !escaped
@@ -155,44 +219,27 @@ let escapes_at t buf ~pos =
   let m = t.m in
   if pos < 0 || ((pos + 1) * m) > Array.length buf then
     invalid_arg "Flat.escapes_at: slot out of range";
-  let bounds = t.bounds in
-  let km = t.k * m in
+  let bounds = t.bounds and hi = t.hi in
   let off = pos * m in
   let i = ref 0 in
   let escaped = ref true in
   while !escaped && !i < t.k do
-    if covers_row_at bounds ~km ~base:(!i * m) ~m buf ~off then
+    if covers_row_at bounds ~hi ~base:(!i * m) ~m buf ~off then
       escaped := false;
     incr i
   done;
   !escaped
 
-let iter_superset_rows t box ~f =
-  if box.bm <> t.m then
-    invalid_arg "Flat.iter_superset_rows: arity mismatch";
-  let bounds = t.bounds and m = t.m in
-  let km = t.k * m in
-  for row = 0 to t.k - 1 do
-    let base = row * m in
-    let j = ref 0 in
-    let covers = ref true in
-    while !covers && !j < m do
-      covers :=
-        Array.unsafe_get bounds (base + !j) <= Array.unsafe_get box.blo !j
-        && Array.unsafe_get box.bhi !j <= Array.unsafe_get bounds (km + base + !j);
-      incr j
-    done;
-    if !covers then f row
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Candidate pruning: rows intersecting a query box *)
 
-let default_crossover = 256
-
-let intersecting_scan t box =
-  let bounds = t.bounds and m = t.m in
-  let km = t.k * m in
+(* One O(k·m) early-exit pass over the planes — the same order of work
+   as building the conflict table the pruned rows feed (Def. 2), and
+   cheaper than any per-query index build at every table size the
+   stores hold. *)
+let intersecting_rows t box =
+  if box.bm <> t.m then invalid_arg "Flat.intersecting_rows: arity mismatch";
+  let bounds = t.bounds and m = t.m and hi = t.hi in
   let keep = Array.make t.k 0 in
   let n = ref 0 in
   for row = 0 to t.k - 1 do
@@ -203,7 +250,7 @@ let intersecting_scan t box =
       (* [lo_i, hi_i] meets [blo_j, bhi_j] iff lo_i <= bhi_j && blo_j <= hi_i *)
       meets :=
         Array.unsafe_get bounds (base + !j) <= Array.unsafe_get box.bhi !j
-        && Array.unsafe_get box.blo !j <= Array.unsafe_get bounds (km + base + !j);
+        && Array.unsafe_get box.blo !j <= Array.unsafe_get bounds (hi + base + !j);
       incr j
     done;
     if !meets then begin
@@ -212,67 +259,3 @@ let intersecting_scan t box =
     end
   done;
   Array.sub keep 0 !n
-
-(* Per-attribute filtering through stabbing. A row interval [a, b]
-   intersects s's range [lo, hi] in exactly one of two disjoint ways:
-   it contains [lo] (a <= lo <= b), or it starts strictly inside
-   (lo < a <= hi). The first set is a stabbing query at [lo] on an
-   {!Interval_index} over the attribute's intervals; the second is a
-   binary-searched slice of the rows sorted by lower bound. Each
-   intersecting row is counted exactly once per attribute; rows
-   counted on all m attributes intersect the box. *)
-let[@problint.allow
-     hot_alloc
-       "index-build path, not the trial loop: runs once per query above \
-        the crossover, where building the stabbing structures dominates \
-        the allocation it costs"] intersecting_indexed t box =
-  let m = t.m and k = t.k in
-  let bounds = t.bounds in
-  let km = k * m in
-  let count = Array.make k 0 in
-  for j = 0 to m - 1 do
-    let slo = box.blo.(j) and shi = box.bhi.(j) in
-    let entries = ref [] in
-    for row = k - 1 downto 0 do
-      entries :=
-        ( row,
-          Interval.make ~lo:bounds.((row * m) + j)
-            ~hi:bounds.(km + (row * m) + j) )
-        :: !entries
-    done;
-    let index = Interval_index.build !entries in
-    Interval_index.iter_stab index slo ~f:(fun row ->
-        count.(row) <- count.(row) + 1);
-    (* Rows whose lower bound lies in (slo, shi]. *)
-    let by_lo = Array.init k (fun row -> bounds.((row * m) + j)) in
-    let order = Array.init k (fun row -> row) in
-    Array.sort (fun a b -> Int.compare by_lo.(a) by_lo.(b)) order;
-    (* First position with lo > slo. *)
-    let lower_bound target =
-      let a = ref 0 and b = ref k in
-      while !a < !b do
-        let mid = (!a + !b) / 2 in
-        if by_lo.(order.(mid)) > target then b := mid else a := mid + 1
-      done;
-      !a
-    in
-    let start = lower_bound slo and stop = lower_bound shi in
-    for pos = start to stop - 1 do
-      let row = order.(pos) in
-      count.(row) <- count.(row) + 1
-    done
-  done;
-  let keep = Array.make k 0 in
-  let n = ref 0 in
-  for row = 0 to k - 1 do
-    if count.(row) = m then begin
-      keep.(!n) <- row;
-      incr n
-    end
-  done;
-  Array.sub keep 0 !n
-
-let intersecting_rows ?(crossover = default_crossover) t box =
-  if box.bm <> t.m then invalid_arg "Flat.intersecting_rows: arity mismatch";
-  if t.k < crossover then intersecting_scan t box
-  else intersecting_indexed t box

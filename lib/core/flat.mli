@@ -16,8 +16,11 @@
     it can change neither the group-coverage answer nor any witness. *)
 
 type t
-(** An immutable packed subscription set. Values are safe to share
-    read-only across domains. *)
+(** A packed subscription set. A pack made by {!pack} or {!gather} is
+    immutable and safe to share read-only across domains. A {!view} of
+    a growable {!rows} buffer shares the buffer: it stays valid until
+    that buffer's next {!rows_insert} or {!rows_delete}, after which it
+    must not be read. *)
 
 type box
 (** A packed tested subscription [s]: one [lo] and one [hi] array of
@@ -49,6 +52,37 @@ val gather : t -> int array -> t
     pruned or MCS-reduced candidate set without re-reading any boxed
     subscription. @raise Invalid_argument on an out-of-range row. *)
 
+val equal : t -> t -> bool
+(** Same [k], same [m] and the same bounds row for row, wherever each
+    side keeps its planes. *)
+
+(** {1 Growable packs}
+
+    The stores keep their active set packed at all times: rows are
+    inserted and deleted in place in a capacity-doubling buffer, and
+    {!view} hands the current rows to the engine without copying. *)
+
+type rows
+(** A mutable packed set of [m]-attribute rows. *)
+
+val rows_create : m:int -> rows
+(** An empty buffer. @raise Invalid_argument if [m < 1]. *)
+
+val rows_insert : rows -> at:int -> Subscription.t -> unit
+(** [rows_insert r ~at s] makes [s] row [at], shifting the rows from
+    [at] on down by one; O(m) plus the shift, amortized.
+    @raise Invalid_argument if [at] is outside [0, k] or the arity
+    differs. *)
+
+val rows_delete : rows -> at:int -> unit
+(** [rows_delete r ~at] removes row [at], shifting the rows after it
+    up by one. @raise Invalid_argument if [at] is outside [0, k). *)
+
+val view : rows -> t
+(** The buffer's current rows as a {!t}, in O(1) and without copying
+    any bound. Valid until the next {!rows_insert} or {!rows_delete}
+    on the buffer. *)
+
 val random_point_into : rng:Prng.t -> box -> int array -> unit
 (** [random_point_into ~rng box p] overwrites [p] with a uniform point
     of [box] — one {!Prng.int_in} draw per attribute, ascending, so the
@@ -79,18 +113,7 @@ val escapes_at : t -> int array -> pos:int -> bool
     several domains on a shared read-only buffer.
     @raise Invalid_argument if the slot exceeds the buffer. *)
 
-val iter_superset_rows : t -> box -> f:(int -> unit) -> unit
-(** [iter_superset_rows t box ~f] calls [f row] for every packed row
-    whose rectangle contains [box] (i.e. [Subscription.covers_sub row
-    box]) — the counting matcher's box-publication scan. *)
-
-val default_crossover : int
-(** Default [k] above which {!intersecting_rows} switches from the
-    plain scan to the per-attribute {!Interval_index} path. *)
-
-val intersecting_rows : ?crossover:int -> t -> box -> int array
+val intersecting_rows : t -> box -> int array
 (** [intersecting_rows t box] lists (ascending) the rows whose
-    rectangle intersects [box]. Below [crossover] rows a plain O(k·m)
-    early-exit scan wins on constants; above it the per-attribute
-    stabbing path is used. Both paths return identical results.
+    rectangle intersects [box], in one O(k·m) early-exit scan.
     @raise Invalid_argument on an arity mismatch. *)

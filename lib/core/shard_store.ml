@@ -3,11 +3,10 @@
    the flat store's design — coverer links may cross shards (a
    fallback full-range subscription can cover striped ones), so those
    structures stay global. Only the *active* set is partitioned: each
-   shard holds the ascending ids, boxed subscriptions and cached
-   {!Flat} pack of the actives homed in its region, and a covering
-   check gathers candidates from the consulted shards alone. The
-   equivalence argument with the flat store lives in the interface
-   and in DESIGN.md "Sharded matching fabric". *)
+   shard owns an {!Active_set} of the actives homed in its region, and
+   a covering check gathers candidates from the consulted shards
+   alone. The equivalence argument with the flat store lives in the
+   interface and in DESIGN.md "Sharded matching fabric". *)
 
 type id = int
 
@@ -18,24 +17,10 @@ type entry = {
   home : int; (* static: the stripe map never changes *)
 }
 
-type shard = {
-  region : Interval.t;
-  (* Parallel arrays over the used prefix [0, an): active ids in
-     strictly ascending order and their boxed subscriptions. *)
-  mutable aids : int array;
-  mutable asubs : Subscription.t array;
-  mutable an : int;
-  (* Cached pack of [asubs] prefix, rebuilt lazily after a mutation of
-     this shard — the sharded analogue of the flat store's
-     [packed_cache], invalidated per shard instead of per store. *)
-  mutable pack : Flat.t option;
-  (* Counting index over this shard's actives, maintained by the
-     append/insert/delete primitives below: a consulted shard answers
-     a publication through its index instead of scanning [asubs].
-     Composes with the stripe routing — each index only ever sees the
-     actives homed in its own shard. *)
-  matcher : Counting_matcher.t;
-}
+(* A consulted shard answers a covering check from its packed view
+   and a publication from its counting index; each only ever sees the
+   actives homed in its own region. *)
+type shard = { region : Interval.t; set : Active_set.t }
 
 type t = {
   policy : Subscription_store.policy;
@@ -50,7 +35,6 @@ type t = {
   mutable order : id array;
   mutable order_n : int;
   mutable order_dead : int;
-  mutable active_n : int;
   mutable next_id : id;
   mutable splits : int;
   mutable added : int;
@@ -109,16 +93,7 @@ let create ?(policy = Subscription_store.Group_policy Engine.default_config)
         p
   in
   let regions = make_regions ~nstripes ~domain0 in
-  let mk_shard region =
-    {
-      region;
-      aids = [||];
-      asubs = [||];
-      an = 0;
-      pack = None;
-      matcher = Counting_matcher.create ~arity ();
-    }
-  in
+  let mk_shard region = { region; set = Active_set.create ~arity } in
   let shards =
     Array.init shards (fun i ->
         if i < nstripes then mk_shard regions.(i) else mk_shard Interval.full)
@@ -137,7 +112,6 @@ let create ?(policy = Subscription_store.Group_policy Engine.default_config)
     order = Array.make 64 0;
     order_n = 0;
     order_dead = 0;
-    active_n = 0;
     next_id = 0;
     splits = 0;
     added = 0;
@@ -151,11 +125,12 @@ let create ?(policy = Subscription_store.Group_policy Engine.default_config)
 let policy t = t.policy
 let arity t = t.arity
 let size t = Hashtbl.length t.entries
-let active_count t = t.active_n
+let active_count t =
+  Array.fold_left (fun n sh -> n + Active_set.length sh.set) 0 t.shards
 let covered_count t = size t - active_count t
 let shard_count t = Array.length t.shards
 let fallback_shard t = Array.length t.shards - 1
-let shard_actives t = Array.map (fun sh -> sh.an) t.shards
+let shard_actives t = Array.map (fun sh -> Active_set.length sh.set) t.shards
 let splits_consumed t = t.splits
 
 (* {2 Routing} *)
@@ -193,66 +168,6 @@ let consult_of_q0 t q0 =
   stripes @ [ Array.length t.shards - 1 ]
 
 let consult_of_sub t s = consult_of_q0 t (Subscription.range s 0)
-
-(* {2 Per-shard active arrays} *)
-
-let shard_pack t sh =
-  match sh.pack with
-  | Some p -> p
-  | None ->
-      let p = Flat.pack ~m:t.arity (Array.sub sh.asubs 0 sh.an) in
-      sh.pack <- Some p;
-      p
-
-let ensure_capacity sh s =
-  if sh.an = Array.length sh.aids then begin
-    let cap = max 8 (2 * sh.an) in
-    let aids = Array.make cap 0 in
-    Array.blit sh.aids 0 aids 0 sh.an;
-    sh.aids <- aids;
-    let asubs = Array.make cap s in
-    Array.blit sh.asubs 0 asubs 0 sh.an;
-    sh.asubs <- asubs
-  end
-
-(* First index in the used prefix with aids.(i) >= id. *)
-let lower_bound sh id =
-  let lo = ref 0 and hi = ref sh.an in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if sh.aids.(mid) < id then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* Fresh arrivals carry the largest id so far: append keeps the array
-   sorted. *)
-let shard_append sh id s =
-  ensure_capacity sh s;
-  sh.aids.(sh.an) <- id;
-  sh.asubs.(sh.an) <- s;
-  sh.an <- sh.an + 1;
-  Counting_matcher.add sh.matcher ~id s;
-  sh.pack <- None
-
-(* Promotions re-activate an old id: sorted insert. *)
-let shard_insert sh id s =
-  ensure_capacity sh s;
-  let pos = lower_bound sh id in
-  Array.blit sh.aids pos sh.aids (pos + 1) (sh.an - pos);
-  Array.blit sh.asubs pos sh.asubs (pos + 1) (sh.an - pos);
-  sh.aids.(pos) <- id;
-  sh.asubs.(pos) <- s;
-  sh.an <- sh.an + 1;
-  Counting_matcher.add sh.matcher ~id s;
-  sh.pack <- None
-
-let shard_delete sh id =
-  let pos = lower_bound sh id in
-  Array.blit sh.aids (pos + 1) sh.aids pos (sh.an - pos - 1);
-  Array.blit sh.asubs (pos + 1) sh.asubs pos (sh.an - pos - 1);
-  sh.an <- sh.an - 1;
-  Counting_matcher.remove sh.matcher ~id;
-  sh.pack <- None
 
 (* {2 Global bookkeeping (mirrors the flat store)} *)
 
@@ -337,6 +252,33 @@ let unlink_child t ~coverer ~child =
       | [] -> Hashtbl.remove t.children coverer
       | l' -> Hashtbl.replace t.children coverer l')
 
+(* The flat store's placement pair: every change of an entry's
+   placement goes through [place]/[unplace]; an active lives in its
+   home shard's set. *)
+let place t id e state =
+  e.state <- state;
+  match state with
+  | Subscription_store.Active -> Active_set.add t.shards.(e.home).set id e.sub
+  | Subscription_store.Covered by ->
+      List.iter (fun coverer -> link_child t ~coverer ~child:id) by
+
+let unplace t id e =
+  match e.state with
+  | Subscription_store.Active -> Active_set.remove t.shards.(e.home).set id
+  | Subscription_store.Covered by ->
+      List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by
+
+(* Orphans of the departed actives, ascending, from the children
+   index; their child lists go with them. *)
+let take_orphans t departed =
+  List.concat_map
+    (fun id ->
+      let kids = Option.value ~default:[] (Hashtbl.find_opt t.children id) in
+      Hashtbl.remove t.children id;
+      kids)
+    departed
+  |> List.sort_uniq Int.compare
+
 (* {2 Classification} *)
 
 (* Gather the candidates an arrival can interact with: the actives of
@@ -349,12 +291,12 @@ let gather_from t consult sbox =
   let cands = ref [] in
   List.iter
     (fun si ->
-      let sh = t.shards.(si) in
-      if sh.an > 0 then begin
-        let rows = Flat.intersecting_rows (shard_pack t sh) sbox in
+      let set = t.shards.(si).set in
+      if Active_set.length set > 0 then begin
+        let rows = Flat.intersecting_rows (Active_set.packed set) sbox in
         for i = Array.length rows - 1 downto 0 do
           let r = rows.(i) in
-          cands := (sh.aids.(r), sh.asubs.(r)) :: !cands
+          cands := (Active_set.id set r, Active_set.sub set r) :: !cands
         done
       end)
     consult;
@@ -405,17 +347,14 @@ let classify t s =
 let install t s ~state ~expires_at =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let home = home_of t s in
-  Hashtbl.replace t.entries id { sub = s; state; expires_at; home };
+  let e = { sub = s; state; expires_at; home = home_of t s } in
+  Hashtbl.replace t.entries id e;
   order_push t id;
   t.added <- t.added + 1;
   (match state with
-  | Subscription_store.Covered by ->
-      t.dropped_covered <- t.dropped_covered + 1;
-      List.iter (fun coverer -> link_child t ~coverer ~child:id) by
-  | Subscription_store.Active ->
-      t.active_n <- t.active_n + 1;
-      shard_append t.shards.(home) id s);
+  | Subscription_store.Covered _ -> t.dropped_covered <- t.dropped_covered + 1
+  | Subscription_store.Active -> ());
+  place t id e state;
   (id, state)
 
 let insert t s ~expires_at =
@@ -536,34 +475,28 @@ let renew t id ~expires_at =
   | Some e -> e.expires_at <- expires_at
   | None -> ()
 
-(* Same orphan selection and ascending-id order as the flat store, so
-   the re-classification split stream lines up; promotions re-enter
-   their home shard by sorted insert. *)
+let reclassify t oid oe state =
+  unplace t oid oe;
+  place t oid oe state;
+  match state with
+  | Subscription_store.Active -> t.promoted_count <- t.promoted_count + 1
+  | Subscription_store.Covered _ -> ()
+
+(* Same orphans and ascending-id order as the flat store, so the
+   re-classification split stream lines up; promotions re-enter their
+   home shard at their sorted position. *)
 let reclassify_orphans t ~departed_active =
-  let orphans =
-    fold_entries t ~init:[] ~f:(fun acc oid oe ->
-        match oe.state with
-        | Subscription_store.Covered by
-          when List.exists (fun id -> List.mem id by) departed_active ->
-            (oid, oe, by) :: acc
-        | Subscription_store.Covered _ | Subscription_store.Active -> acc)
-    |> List.rev
-  in
   List.map
-    (fun (oid, oe, old_by) ->
-      List.iter (fun coverer -> unlink_child t ~coverer ~child:oid) old_by;
-      match classify t oe.sub with
-      | Subscription_store.Active ->
-          oe.state <- Subscription_store.Active;
-          t.active_n <- t.active_n + 1;
-          shard_insert t.shards.(oe.home) oid oe.sub;
-          t.promoted_count <- t.promoted_count + 1;
-          (oid, Subscription_store.Active)
-      | Subscription_store.Covered by ->
-          oe.state <- Subscription_store.Covered by;
-          List.iter (fun coverer -> link_child t ~coverer ~child:oid) by;
-          (oid, Subscription_store.Covered by))
-    orphans
+    (fun oid ->
+      let oe =
+        match Hashtbl.find_opt t.entries oid with
+        | Some e -> e
+        | None -> invalid_arg "Shard_store: dangling child"
+      in
+      let state = classify t oe.sub in
+      reclassify t oid oe state;
+      (oid, state))
+    (take_orphans t departed_active)
 
 let promoted_of_reclassified reclassified =
   List.filter_map
@@ -573,24 +506,29 @@ let promoted_of_reclassified reclassified =
       | Subscription_store.Covered _ -> None)
     reclassified
 
+let drop_entry t id e =
+  Hashtbl.remove t.entries id;
+  order_mark_dead t;
+  t.removed_count <- t.removed_count + 1;
+  unplace t id e
+
+let departed_actives dropped =
+  List.filter_map
+    (fun (id, e) ->
+      match e.state with
+      | Subscription_store.Active -> Some id
+      | Subscription_store.Covered _ -> None)
+    dropped
+
 let remove t id =
   let e =
     match Hashtbl.find_opt t.entries id with
     | Some e -> e
     | None -> raise Not_found
   in
-  Hashtbl.remove t.entries id;
-  order_mark_dead t;
-  t.removed_count <- t.removed_count + 1;
-  match e.state with
-  | Subscription_store.Covered by ->
-      List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by;
-      []
-  | Subscription_store.Active ->
-      t.active_n <- t.active_n - 1;
-      shard_delete t.shards.(e.home) id;
-      Hashtbl.remove t.children id;
-      promoted_of_reclassified (reclassify_orphans t ~departed_active:[ id ])
+  drop_entry t id e;
+  promoted_of_reclassified
+    (reclassify_orphans t ~departed_active:(departed_actives [ (id, e) ]))
 
 let expire t ~now =
   let expired =
@@ -598,30 +536,9 @@ let expire t ~now =
         if e.expires_at <= now then (id, e) :: acc else acc)
     |> List.rev
   in
-  List.iter
-    (fun (id, e) ->
-      Hashtbl.remove t.entries id;
-      order_mark_dead t;
-      t.removed_count <- t.removed_count + 1;
-      match e.state with
-      | Subscription_store.Covered by ->
-          List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by
-      | Subscription_store.Active ->
-          t.active_n <- t.active_n - 1;
-          shard_delete t.shards.(e.home) id;
-          Hashtbl.remove t.children id)
-    expired;
-  let expired_active =
-    List.filter_map
-      (fun (id, e) ->
-        match e.state with
-        | Subscription_store.Active -> Some id
-        | Subscription_store.Covered _ -> None)
-      expired
-  in
+  List.iter (fun (id, e) -> drop_entry t id e) expired;
   let reclassified =
-    if expired_active = [] then []
-    else reclassify_orphans t ~departed_active:expired_active
+    reclassify_orphans t ~departed_active:(departed_actives expired)
   in
   (List.map fst expired, promoted_of_reclassified reclassified)
 
@@ -648,7 +565,7 @@ let match_publication t p =
      [Publication.matches] scan at all. *)
   List.iter
     (fun si ->
-      Counting_matcher.iter_matches t.shards.(si).matcher p ~f:(fun id ->
+      Active_set.iter_matches t.shards.(si).set p ~f:(fun id ->
           matched_actives := id :: !matched_actives;
           hits := id :: !hits))
     (consult_of_q0 t (q0_of_pub p));
@@ -696,7 +613,7 @@ let stats t =
     covered_scans = t.covered_scans;
     index_hits =
       Array.fold_left
-        (fun acc sh -> acc + Counting_matcher.inspections sh.matcher)
+        (fun acc sh -> acc + Active_set.index_hits sh.set)
         0 t.shards;
   }
 
@@ -745,56 +662,29 @@ let[@problint.allow
           | None -> ok := false)
         children)
     t.children;
-  (* Shard map invariants. *)
-  let total = Array.fold_left (fun acc sh -> acc + sh.an) 0 t.shards in
-  if total <> t.active_n then ok := false;
+  (* Shard map invariants: each shard's set holds only actives homed
+     there by the routing function — ascending, aliasing their entries'
+     subscriptions, packed and indexed — and, with the count check,
+     every active entry sits in its home shard. *)
+  let ground_active =
+    Hashtbl.fold
+      (fun _ e n ->
+        match e.state with
+        | Subscription_store.Active -> n + 1
+        | Subscription_store.Covered _ -> n)
+      t.entries 0
+  in
+  if active_count t <> ground_active then ok := false;
   Array.iteri
     (fun si sh ->
-      (* The per-shard counting index shadows exactly this shard's
-         actives. *)
-      if Counting_matcher.size sh.matcher <> sh.an then ok := false;
-      for i = 0 to sh.an - 1 do
-        if not (Counting_matcher.mem sh.matcher ~id:sh.aids.(i)) then
-          ok := false;
-        if i > 0 && sh.aids.(i - 1) >= sh.aids.(i) then ok := false;
-        (match Hashtbl.find_opt t.entries sh.aids.(i) with
-        | Some e ->
-            (match e.state with
-            | Subscription_store.Active -> ()
-            | Subscription_store.Covered _ -> ok := false);
-            if e.home <> si then ok := false;
-            if
-              not
-                ((e.sub == sh.asubs.(i))
-                [@problint.allow
-                  unsafe
-                    "identity check is the invariant: the shard array must \
-                     alias the entry's subscription, not merely equal it"])
-            then ok := false;
-            if home_of t e.sub <> si then ok := false
-        | None -> ok := false);
-        (match sh.pack with
-        | None -> ()
-        | Some p ->
-            if Flat.k p <> sh.an || Flat.m p <> t.arity then ok := false
-            else
-              for j = 0 to t.arity - 1 do
-                let iv = Subscription.range sh.asubs.(i) j in
-                if
-                  Flat.lo p ~row:i ~attr:j <> Interval.lo iv
-                  || Flat.hi p ~row:i ~attr:j <> Interval.hi iv
-                then ok := false
-              done)
-      done)
+      if
+        not
+          (Active_set.consistent sh.set ~find:(fun id ->
+               match Hashtbl.find_opt t.entries id with
+               | Some ({ state = Subscription_store.Active; _ } as e)
+                 when e.home = si && home_of t e.sub = si ->
+                   Some e.sub
+               | Some _ | None -> None))
+      then ok := false)
     t.shards;
-  (* Every active entry is present in its home shard. *)
-  Hashtbl.iter
-    (fun id e ->
-      match e.state with
-      | Subscription_store.Covered _ -> ()
-      | Subscription_store.Active ->
-          let sh = t.shards.(e.home) in
-          let pos = lower_bound sh id in
-          if pos >= sh.an || sh.aids.(pos) <> id then ok := false)
-    t.entries;
   !ok

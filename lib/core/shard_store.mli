@@ -3,8 +3,8 @@
     very large stores.
 
     The flat store classifies every arrival against the {e whole}
-    active set — O(k·m) just to prune candidates, plus a full repack
-    whenever the active set grew. The sharded store partitions the
+    active set — O(k·m) just to prune candidates. The sharded store
+    partitions the
     active set by the {e first attribute}: the configured [domain0]
     range is split into [shards - 1] contiguous {e stripes} (the outer
     stripes extended to the unbounded sentinels so the stripes cover
@@ -12,10 +12,10 @@
     subscription lives in the unique stripe that fully contains its
     first-attribute interval, or in the fallback when it spans a
     stripe boundary or is unconstrained on that attribute. Each shard
-    keeps its active ids, boxed subscriptions and a cached {!Flat}
-    pack, so a covering check touches only the shards an arrival can
-    overlap and an active-set mutation invalidates one shard's pack —
-    not the whole store's.
+    owns an {!Active_set} of the actives homed there (ids, boxed
+    subscriptions, packed bounds and counting index, all maintained in
+    place), so a covering check touches only the shards an arrival can
+    overlap and an active-set change edits one shard's set.
 
     {2 Confinement is pruning}
 
@@ -194,5 +194,6 @@ val validate : t -> bool
 (** Structural invariants, for tests: the flat store's coverage
     invariants, plus the shard map's — every active lives in exactly
     its home shard, shard id arrays are strictly ascending and total
-    {!active_count}, homes agree with the routing function, and
-    cached packs match their shard's subscriptions. *)
+    {!active_count}, homes agree with the routing function, and each
+    shard's {!Active_set} aliases its entries' subscriptions with
+    packed bounds equal to [Flat.pack] of them. *)

@@ -63,17 +63,10 @@ type t = {
   mutable order : id array;
   mutable order_n : int;
   mutable order_dead : int;
-  mutable active_n : int;
-  (* Cached snapshot of the active set (ids, boxed subs, packed
-     bounds), shared by every group/pairwise classification until an
-     active-set mutation invalidates it. *)
-  mutable active_cache : (id array * Subscription.t array) option;
-  mutable packed_cache : Flat.t option;
-  (* Counting index over the active set, maintained incrementally at
-     every active-set mutation (not rebuilt): publication matching
-     queries it instead of scanning the actives. Derived state — not
-     journaled, not part of [equal_state]. *)
-  matcher : Counting_matcher.t;
+  (* The active entries: ids, subscriptions, packed bounds and
+     counting index, maintained in place by [place]/[unplace] — the
+     only code that changes an entry's placement. *)
+  active : Active_set.t;
   mutable next_id : id;
   (* Prng.split draws consumed by classifications so far. Recovery
      fast-forwards a fresh seed-rng by this count, so a recovered
@@ -104,10 +97,7 @@ let create ?(policy = Group_policy Engine.default_config) ?pool ~arity ~seed
     order = Array.make 64 0;
     order_n = 0;
     order_dead = 0;
-    active_n = 0;
-    active_cache = None;
-    packed_cache = None;
-    matcher = Counting_matcher.create ~arity ();
+    active = Active_set.create ~arity;
     next_id = 0;
     splits = 0;
     journal = None;
@@ -127,10 +117,6 @@ let splits_consumed t = t.splits
 
 let emit t op =
   match t.journal with None -> () | Some f -> f op
-
-let invalidate_active t =
-  t.active_cache <- None;
-  t.packed_cache <- None
 
 let order_push t id =
   if t.order_n = Array.length t.order then begin
@@ -169,10 +155,7 @@ let fold_entries t ~init ~f =
   done;
   !acc
 
-let active t =
-  fold_entries t ~init:[] ~f:(fun acc id e ->
-      match e.state with Active -> (id, e.sub) :: acc | Covered _ -> acc)
-  |> List.rev
+let active t = Active_set.to_list t.active
 
 let covered t =
   fold_entries t ~init:[] ~f:(fun acc id e ->
@@ -181,7 +164,7 @@ let covered t =
       | Covered by -> (id, e.sub, by) :: acc)
   |> List.rev
 
-let active_count t = t.active_n
+let active_count t = Active_set.length t.active
 let covered_count t = size t - active_count t
 
 let find t id =
@@ -194,26 +177,8 @@ let is_active t id =
   | Some e -> (match e.state with Active -> true | Covered _ -> false)
   | None -> raise Not_found
 
-let active_arrays t =
-  match t.active_cache with
-  | Some c -> c
-  | None ->
-      let pairs = active t in
-      let c =
-        ( Array.of_list (List.map fst pairs),
-          Array.of_list (List.map snd pairs) )
-      in
-      t.active_cache <- Some c;
-      c
-
-let active_packed t =
-  match t.packed_cache with
-  | Some p -> p
-  | None ->
-      let _, subs = active_arrays t in
-      let p = Flat.pack ~m:t.arity subs in
-      t.packed_cache <- Some p;
-      p
+let active_arrays t = Active_set.arrays t.active
+let active_packed t = Active_set.packed t.active
 
 let link_child t ~coverer ~child =
   let cur = Option.value ~default:[] (Hashtbl.find_opt t.children coverer) in
@@ -227,6 +192,34 @@ let unlink_child t ~coverer ~child =
       match List.filter (fun c -> c <> child) l with
       | [] -> Hashtbl.remove t.children coverer
       | l' -> Hashtbl.replace t.children coverer l')
+
+(* Every change of an entry's placement goes through this pair: [place]
+   records [state] (joining the active set, or linking the entry under
+   its coverers), [unplace] undoes whatever the current state recorded.
+   A departing active's own child list is left for [take_orphans]. *)
+let place t id e state =
+  e.state <- state;
+  match state with
+  | Active -> Active_set.add t.active id e.sub
+  | Covered by -> List.iter (fun coverer -> link_child t ~coverer ~child:id) by
+
+let unplace t id e =
+  match e.state with
+  | Active -> Active_set.remove t.active id
+  | Covered by ->
+      List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by
+
+(* The covered entries recorded under the departed actives, ascending —
+   read from the children index, the exact inverse of covered-by (see
+   [validate]). Their child lists go with them. *)
+let take_orphans t departed =
+  List.concat_map
+    (fun id ->
+      let kids = Option.value ~default:[] (Hashtbl.find_opt t.children id) in
+      Hashtbl.remove t.children id;
+      kids)
+    departed
+  |> List.sort_uniq Int.compare
 
 (* Translate an engine report into a placement, mapping candidate rows
    back to store ids through the active-set snapshot [ids]. *)
@@ -276,27 +269,21 @@ let classify t s =
       placement_of_report ~s ids subs
         (Engine.check ~config ?pool:t.pool ~packed ~rng s subs)
 
-(* Bookkeeping half of an insertion: assign the id and record the
-   already-computed placement. Split out from [insert] so replay and
-   batch paths can apply placements computed elsewhere. *)
+(* Bookkeeping half of an insertion: record the entry under the next
+   id with its already-computed placement. Shared by live insertion
+   and replay. *)
 let install t s ~state ~expires_at =
   let id = t.next_id in
   t.next_id <- id + 1;
-  Hashtbl.replace t.entries id { sub = s; state; expires_at };
+  let e = { sub = s; state; expires_at } in
+  Hashtbl.replace t.entries id e;
   order_push t id;
   t.added <- t.added + 1;
   (match state with
-  | Covered by ->
-      t.dropped_covered <- t.dropped_covered + 1;
-      List.iter (fun coverer -> link_child t ~coverer ~child:id) by
-  | Active ->
-      (* A covered arrival leaves the active set untouched, so the
-         cached snapshot stays valid — the common steady-state case. *)
-      t.active_n <- t.active_n + 1;
-      Counting_matcher.add t.matcher ~id s;
-      invalidate_active t);
-  emit t (Op_add { id; sub = s; placement = state; expires_at });
-  (id, state)
+  | Covered _ -> t.dropped_covered <- t.dropped_covered + 1
+  | Active -> ());
+  place t id e state;
+  id
 
 let insert t s ~expires_at =
   if Subscription.arity s <> t.arity then
@@ -304,7 +291,9 @@ let insert t s ~expires_at =
   if Float.is_nan expires_at then
     invalid_arg "Subscription_store.add_with_expiry: NaN lease";
   let state = classify t s in
-  install t s ~state ~expires_at
+  let id = install t s ~state ~expires_at in
+  emit t (Op_add { id; sub = s; placement = state; expires_at });
+  (id, state)
 
 let add t s = insert t s ~expires_at:infinity
 let add_with_expiry t s ~expires_at = insert t s ~expires_at
@@ -349,42 +338,47 @@ let renew t id ~expires_at =
       emit t (Op_renew { id; expires_at })
   | None -> ()
 
-(* Re-check the covered subscriptions that recorded one of
-   [departed_active] as a coverer; promote those no longer covered.
-   Shared by {!remove} and {!expire} (§5's replacement rule). Returns
-   every re-checked orphan with its new placement (not just the
-   promotions) so the journal can record the full effect. *)
+(* Move an orphan to its new placement, counting a promotion. *)
+let reclassify t oid oe state =
+  unplace t oid oe;
+  place t oid oe state;
+  match state with
+  | Active -> t.promoted_count <- t.promoted_count + 1
+  | Covered _ -> ()
+
+(* Re-check the covered subscriptions the departed actives left behind,
+   in ascending id order; promote those no longer covered. Shared by
+   {!remove} and {!expire} (§5's replacement rule). Returns every
+   re-checked orphan with its new placement (not just the promotions)
+   so the journal can record the full effect. *)
 let reclassify_orphans t ~departed_active =
-  let orphans =
-    fold_entries t ~init:[] ~f:(fun acc oid oe ->
-        match oe.state with
-        | Covered by when List.exists (fun id -> List.mem id by) departed_active
-          ->
-            (oid, oe, by) :: acc
-        | Covered _ | Active -> acc)
-    |> List.rev
-  in
   List.map
-    (fun (oid, oe, old_by) ->
-      List.iter (fun coverer -> unlink_child t ~coverer ~child:oid) old_by;
-      match classify t oe.sub with
-      | Active ->
-          oe.state <- Active;
-          t.active_n <- t.active_n + 1;
-          Counting_matcher.add t.matcher ~id:oid oe.sub;
-          invalidate_active t;
-          t.promoted_count <- t.promoted_count + 1;
-          (oid, Active)
-      | Covered by ->
-          oe.state <- Covered by;
-          List.iter (fun coverer -> link_child t ~coverer ~child:oid) by;
-          (oid, Covered by))
-    orphans
+    (fun oid ->
+      let oe =
+        match Hashtbl.find_opt t.entries oid with
+        | Some e -> e
+        | None -> invalid_arg "Subscription_store: dangling child"
+      in
+      let state = classify t oe.sub in
+      reclassify t oid oe state;
+      (oid, state))
+    (take_orphans t departed_active)
 
 let promoted_of_reclassified reclassified =
   List.filter_map
     (fun (oid, pl) -> match pl with Active -> Some oid | Covered _ -> None)
     reclassified
+
+let drop_entry t id e =
+  Hashtbl.remove t.entries id;
+  order_mark_dead t;
+  t.removed_count <- t.removed_count + 1;
+  unplace t id e
+
+let departed_actives dropped =
+  List.filter_map
+    (fun (id, e) -> match e.state with Active -> Some id | Covered _ -> None)
+    dropped
 
 let remove t id =
   let e =
@@ -392,22 +386,12 @@ let remove t id =
     | Some e -> e
     | None -> raise Not_found
   in
-  Hashtbl.remove t.entries id;
-  order_mark_dead t;
-  t.removed_count <- t.removed_count + 1;
-  match e.state with
-  | Covered by ->
-      List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by;
-      emit t (Op_remove { id; reclassified = [] });
-      []
-  | Active ->
-      t.active_n <- t.active_n - 1;
-      Counting_matcher.remove t.matcher ~id;
-      invalidate_active t;
-      Hashtbl.remove t.children id;
-      let reclassified = reclassify_orphans t ~departed_active:[ id ] in
-      emit t (Op_remove { id; reclassified });
-      promoted_of_reclassified reclassified
+  drop_entry t id e;
+  let reclassified =
+    reclassify_orphans t ~departed_active:(departed_actives [ (id, e) ])
+  in
+  emit t (Op_remove { id; reclassified });
+  promoted_of_reclassified reclassified
 
 let expire t ~now =
   let expired =
@@ -415,29 +399,9 @@ let expire t ~now =
         if e.expires_at <= now then (id, e) :: acc else acc)
     |> List.rev
   in
-  List.iter
-    (fun (id, e) ->
-      Hashtbl.remove t.entries id;
-      order_mark_dead t;
-      t.removed_count <- t.removed_count + 1;
-      match e.state with
-      | Covered by ->
-          List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by
-      | Active ->
-          t.active_n <- t.active_n - 1;
-          Counting_matcher.remove t.matcher ~id;
-          invalidate_active t;
-          Hashtbl.remove t.children id)
-    expired;
-  let expired_active =
-    List.filter_map
-      (fun (id, e) ->
-        match e.state with Active -> Some id | Covered _ -> None)
-      expired
-  in
+  List.iter (fun (id, e) -> drop_entry t id e) expired;
   let reclassified =
-    if expired_active = [] then []
-    else reclassify_orphans t ~departed_active:expired_active
+    reclassify_orphans t ~departed_active:(departed_actives expired)
   in
   let expired_ids = List.map fst expired in
   if expired_ids <> [] then
@@ -450,7 +414,7 @@ let match_publication t p =
   (* The counting index answers the active-set question exactly — no
      per-active [Publication.matches] scan ([active_scans] stays
      flat; the index work shows up in [index_hits]). *)
-  Counting_matcher.iter_matches t.matcher p ~f:(fun id ->
+  Active_set.iter_matches t.active p ~f:(fun id ->
       matched_actives := id :: !matched_actives;
       hits := id :: !hits);
   (* Multi-level descent: only the covered subscriptions recorded under
@@ -548,22 +512,22 @@ let[@problint.allow
             by
       | Active -> ())
     t.entries;
-  (* Maintained counters and order vector agree with ground truth. *)
+  (* The active set holds exactly the active entries — ascending,
+     aliasing their subscriptions, packed and indexed — and the order
+     vector agrees with the entry table. *)
   let ground_active =
     Hashtbl.fold
       (fun _ e n -> match e.state with Active -> n + 1 | Covered _ -> n)
       t.entries 0
   in
-  if t.active_n <> ground_active then ok := false;
-  (* The counting index shadows exactly the active set. *)
-  if Counting_matcher.size t.matcher <> ground_active then ok := false;
-  Hashtbl.iter
-    (fun id e ->
-      match e.state with
-      | Active -> if not (Counting_matcher.mem t.matcher ~id) then ok := false
-      | Covered _ ->
-          if Counting_matcher.mem t.matcher ~id then ok := false)
-    t.entries;
+  if Active_set.length t.active <> ground_active then ok := false;
+  if
+    not
+      (Active_set.consistent t.active ~find:(fun id ->
+           match Hashtbl.find_opt t.entries id with
+           | Some { state = Active; sub; _ } -> Some sub
+           | Some { state = Covered _; _ } | None -> None))
+  then ok := false;
   let seen = ref (-1) in
   let live_in_order = ref 0 in
   for i = 0 to t.order_n - 1 do
@@ -583,7 +547,7 @@ let stats t =
     promoted = t.promoted_count;
     active_scans = t.active_scans;
     covered_scans = t.covered_scans;
-    index_hits = Counting_matcher.inspections t.matcher;
+    index_hits = Active_set.index_hits t.active;
   }
 
 (* -------------------------------------------------------------------
@@ -605,45 +569,24 @@ let consume_split t =
       ignore (Prng.split t.rng)
   | No_coverage | Pairwise_policy -> ()
 
-(* Mirror of the tail of [reclassify_orphans], with recorded placements
-   standing in for the classify calls (one split each under group). *)
-let apply_reclassified t reclassified =
+(* Mirror of [remove]/[expire]: drop the recorded ids the store still
+   holds, then apply the recorded orphan placements in place of the
+   classify calls (one split each under group). *)
+let apply_departures t ids reclassified =
+  let dropped =
+    List.filter_map
+      (fun id -> Option.map (fun e -> (id, e)) (Hashtbl.find_opt t.entries id))
+      ids
+  in
+  List.iter (fun (id, e) -> drop_entry t id e) dropped;
+  List.iter (Hashtbl.remove t.children) (departed_actives dropped);
   List.iter
-    (fun (oid, pl) ->
+    (fun (oid, state) ->
       consume_split t;
       match Hashtbl.find_opt t.entries oid with
       | None -> ()
-      | Some oe ->
-          (match oe.state with
-          | Covered old_by ->
-              List.iter
-                (fun coverer -> unlink_child t ~coverer ~child:oid)
-                old_by
-          | Active -> ());
-          (match pl with
-          | Active ->
-              oe.state <- Active;
-              t.active_n <- t.active_n + 1;
-              Counting_matcher.add t.matcher ~id:oid oe.sub;
-              invalidate_active t;
-              t.promoted_count <- t.promoted_count + 1
-          | Covered by ->
-              oe.state <- Covered by;
-              List.iter (fun coverer -> link_child t ~coverer ~child:oid) by))
+      | Some oe -> reclassify t oid oe state)
     reclassified
-
-let drop_entry t id e =
-  Hashtbl.remove t.entries id;
-  order_mark_dead t;
-  t.removed_count <- t.removed_count + 1;
-  match e.state with
-  | Covered by ->
-      List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by
-  | Active ->
-      t.active_n <- t.active_n - 1;
-      Counting_matcher.remove t.matcher ~id;
-      invalidate_active t;
-      Hashtbl.remove t.children id
 
 let apply_op t op =
   match op with
@@ -653,35 +596,14 @@ let apply_op t op =
       if Subscription.arity sub <> t.arity then
         invalid_arg "Subscription_store.apply_op: arity mismatch";
       consume_split t;
-      t.next_id <- id + 1;
-      Hashtbl.replace t.entries id { sub; state = placement; expires_at };
-      order_push t id;
-      t.added <- t.added + 1;
-      (match placement with
-      | Covered by ->
-          t.dropped_covered <- t.dropped_covered + 1;
-          List.iter (fun coverer -> link_child t ~coverer ~child:id) by
-      | Active ->
-          t.active_n <- t.active_n + 1;
-          Counting_matcher.add t.matcher ~id sub;
-          invalidate_active t)
-  | Op_remove { id; reclassified } ->
-      (match Hashtbl.find_opt t.entries id with
-      | None -> ()
-      | Some e -> drop_entry t id e);
-      apply_reclassified t reclassified
+      ignore (install t sub ~state:placement ~expires_at)
+  | Op_remove { id; reclassified } -> apply_departures t [ id ] reclassified
   | Op_renew { id; expires_at } -> (
       match Hashtbl.find_opt t.entries id with
       | Some e -> e.expires_at <- expires_at
       | None -> ())
   | Op_expire { now = _; expired; reclassified } ->
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt t.entries id with
-          | None -> ()
-          | Some e -> drop_entry t id e)
-        expired;
-      apply_reclassified t reclassified
+      apply_departures t expired reclassified
 
 type image = {
   i_next_id : id;
@@ -715,14 +637,10 @@ let restore ?policy ?pool ~arity ~seed img =
       last := id;
       if Subscription.arity sub <> t.arity then
         invalid_arg "Subscription_store.recover: image arity mismatch";
-      Hashtbl.replace t.entries id { sub; state = placement; expires_at };
+      let e = { sub; state = placement; expires_at } in
+      Hashtbl.replace t.entries id e;
       order_push t id;
-      match placement with
-      | Covered by ->
-          List.iter (fun coverer -> link_child t ~coverer ~child:id) by
-      | Active ->
-          t.active_n <- t.active_n + 1;
-          Counting_matcher.add t.matcher ~id sub)
+      place t id e placement)
     img.i_entries;
   if img.i_next_id <= !last then
     invalid_arg "Subscription_store.recover: image next_id too small";
@@ -744,23 +662,8 @@ let equal_state a b =
     && ea.state = eb.state
     && ea.expires_at = eb.expires_at
   in
-  let packed_equal pa pb =
-    Flat.k pa = Flat.k pb
-    && Flat.m pa = Flat.m pb
-    &&
-    let ok = ref true in
-    for row = 0 to Flat.k pa - 1 do
-      for attr = 0 to Flat.m pa - 1 do
-        if
-          Flat.lo pa ~row ~attr <> Flat.lo pb ~row ~attr
-          || Flat.hi pa ~row ~attr <> Flat.hi pb ~row ~attr
-        then ok := false
-      done
-    done;
-    !ok
-  in
   a.arity = b.arity && a.policy = b.policy && a.next_id = b.next_id
   && a.splits = b.splits
   && List.equal entry_equal (entry_list a) (entry_list b)
   && fst (active_arrays a) = fst (active_arrays b)
-  && packed_equal (active_packed a) (active_packed b)
+  && Flat.equal (active_packed a) (active_packed b)

@@ -115,15 +115,16 @@ val active : t -> (id * Subscription.t) list
 (** Active subscriptions, ascending id. *)
 
 val active_arrays : t -> id array * Subscription.t array
-(** The active set as parallel arrays (ascending id), cached across
-    calls and invalidated only when the active set itself changes — an
-    arriving subscription classified as covered reuses the snapshot.
-    Treat the arrays as read-only. *)
+(** The active set as parallel arrays (ascending id): fresh O(k)
+    copies of the ids and subscriptions the store maintains in place. *)
 
 val active_packed : t -> Flat.t
-(** The {!Flat} pack of {!active_arrays}, cached and invalidated on the
-    same schedule; the store hands it to {!Engine.check} so repeated
-    classifications against a stable active set never re-pack. *)
+(** The active set's bounds, row for row with {!active_arrays}, as a
+    copy-free {!Flat.view} of the buffer the store maintains in place
+    at every active-set change — what the store hands {!Engine.check},
+    so admission never re-packs. Valid until the store's next mutation
+    ({!add}, {!remove}, {!expire}, {!apply_op}, ...); read it before
+    mutating, never after. *)
 
 val covered : t -> (id * Subscription.t * id list) list
 (** Covered subscriptions with their recorded coverers, ascending id. *)
@@ -174,8 +175,10 @@ val stats : t -> stats
 val validate : t -> bool
 (** Structural invariants, for tests: coverer references are live and
     active, the multi-level child index is the exact inverse of the
-    covered-by relation, and (pairwise policy) every recorded coverer
-    really covers its child. *)
+    covered-by relation, (pairwise policy) every recorded coverer
+    really covers its child, and the maintained active set holds
+    exactly the active entries — ascending ids, their very
+    subscriptions, bounds equal to [Flat.pack] of them. *)
 
 (** {1 Durability: effect journal and crash recovery}
 

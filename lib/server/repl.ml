@@ -83,19 +83,23 @@ module Ship = struct
     (t, wrapped)
 
   let drain t =
-    let events = List.rev t.pending in
-    t.pending <- [];
     (* Adjacent single-frame appends collapse into one chunk so a burst
-       of writes ships as one message. *)
-    let rec coalesce = function
-      | E_frames a :: E_frames b :: rest -> coalesce (E_frames (a ^ b) :: rest)
-      | e :: rest -> e :: coalesce rest
-      | [] -> []
+       of writes ships as one message; each run is concatenated once.
+       [pending] is newest first, so prepending while walking it leaves
+       every run, and the result, oldest first. *)
+    let chunk run acc =
+      match run with [] -> acc | _ -> E_frames (String.concat "" run) :: acc
     in
-    List.iter
-      (function E_frames _ -> t.shipped <- t.shipped + 1 | E_snapshot _ -> ())
-      events;
-    coalesce events
+    let rec walk run acc = function
+      | E_frames bytes :: older ->
+          t.shipped <- t.shipped + 1;
+          walk (bytes :: run) acc older
+      | (E_snapshot _ as e) :: older -> walk [] (e :: chunk run acc) older
+      | [] -> chunk run acc
+    in
+    let events = walk [] [] t.pending in
+    t.pending <- [];
+    events
 
   let resume t ~from_lsn =
     let wal = t.inner.Device.read_wal () in

@@ -235,8 +235,115 @@ let test_chain_model_simulation () =
     true
     (Float.abs (r.Chain_model.measured -. r.Chain_model.analytic) < 0.12)
 
+(* Bit-identity pin. A seeded churn stream (§6.4 comparison-stream
+   subscriptions plus a topic attribute, under the group policy, with
+   one neighbour) runs through a durable broker, with lease sweeps,
+   refreshes, a compaction and a crash/restart from the WAL along the
+   way. Every action and the final WAL and snapshot bytes feed one
+   digest: a change to the stores' internals that moves a placement, a
+   coverer list, a promotion order or a journal byte changes it. *)
+let churn_digest () =
+  let module Device = Probsub_store_log.Device in
+  let module Sim_file = Probsub_store_log.Sim_file in
+  let module Wire = Probsub_server.Wire in
+  let module Scenario = Probsub_workload.Scenario in
+  let topics = 12 and arity = 6 in
+  let policy =
+    Subscription_store.Group_policy
+      (Engine.config ~delta:1e-4 ~max_iterations:5_000 ())
+  in
+  let device, wal, snapshot = Device.in_memory () in
+  let node =
+    Broker_node.create ~device ~lease_ttl:40.0 ~id:0 ~neighbors:[ 1 ] ~policy
+      ~arity ~seed:7 ()
+  in
+  let rng = Prng.of_int 2024 in
+  let out = Buffer.create 65536 in
+  let record actions =
+    List.iter
+      (function
+        | Broker_node.Forward { to_; payload } ->
+            Buffer.add_string out (Printf.sprintf "F%d:" to_);
+            Buffer.add_string out (Wire.encode (Wire.Payload payload))
+        | Broker_node.Notify { client; key; pub_id } ->
+            Buffer.add_string out (Printf.sprintf "N%d,%d,%d;" client key pub_id))
+      actions
+  in
+  let live = ref [||] and next_key = ref 1 and next_pub = ref 1 in
+  let new_sub () =
+    match Scenario.comparison_stream rng ~m:(arity - 1) ~n:1 with
+    | [ s ] ->
+        Subscription.make
+          (Array.append (Subscription.ranges s)
+             [| Interval.point (Prng.int rng topics) |])
+    | _ -> Alcotest.fail "comparison_stream returned no subscription"
+  in
+  let publication sub =
+    let hi = Scenario.domain_width - 1 in
+    Publication.point
+      (Array.init arity (fun j ->
+           let r = Subscription.range sub j in
+           let lo = max 0 (Interval.lo r) and hi' = min hi (Interval.hi r) in
+           if lo <= hi' then Prng.int_in rng ~lo ~hi:hi'
+           else Prng.in_interval rng r))
+  in
+  let subscribe () =
+    let key = !next_key in
+    incr next_key;
+    let sub = new_sub () in
+    live := Array.append !live [| (key, sub, 0) |];
+    Message.Subscribe { key; sub; epoch = 0 }
+  in
+  let table = 280 in
+  for step = 0 to 1_399 do
+    let now = 0.1 *. float_of_int step in
+    let n = Array.length !live in
+    let payload =
+      if step < table || n = 0 then subscribe ()
+      else
+        match Prng.int rng 10 with
+        | 0 | 1 | 2 ->
+            let _, sub, _ = !live.(Prng.int rng n) in
+            incr next_pub;
+            Message.Publish { id = !next_pub; pub = publication sub }
+        | 3 ->
+            (* Lease refresh: the same key at a higher epoch. *)
+            let i = Prng.int rng n in
+            let key, sub, epoch = !live.(i) in
+            !live.(i) <- (key, sub, epoch + 1);
+            Message.Subscribe { key; sub; epoch = epoch + 1 }
+        | _ ->
+            if Prng.int rng (n + table) < n then begin
+              let i = Prng.int rng n in
+              let key, _, _ = !live.(i) in
+              live :=
+                Array.of_list
+                  (List.filteri (fun j _ -> j <> i) (Array.to_list !live));
+              Message.Unsubscribe { key }
+            end
+            else subscribe ()
+    in
+    record (Broker_node.handle node ~now ~origin:(Message.Client 3) payload);
+    if step mod 97 = 96 then begin
+      let reclaimed, actions = Broker_node.sweep node ~now in
+      Buffer.add_string out (Printf.sprintf "S%d;" reclaimed);
+      record actions
+    end;
+    if step = 700 then Broker_node.compact_wal node;
+    if step = 1_000 then Broker_node.restart node
+  done;
+  Buffer.add_string out (Sim_file.contents wal);
+  Buffer.add_string out (Sim_file.contents snapshot);
+  Digest.to_hex (Digest.string (Buffer.contents out))
+
+let test_churn_digest_pinned () =
+  Alcotest.(check string) "actions + WAL digest"
+    "dd0e11b2cc4af56226a64b1b5157ad77" (churn_digest ())
+
 let suite =
   [
+    Alcotest.test_case "churn actions and WAL bytes pinned" `Quick
+      test_churn_digest_pinned;
     Alcotest.test_case "flood reaches everyone" `Quick test_flood_reaches_everyone;
     Alcotest.test_case "end-to-end delivery" `Quick test_delivery_end_to_end;
     Alcotest.test_case "no match, no forward" `Quick test_no_match_no_forward;

@@ -123,6 +123,35 @@ let test_cancel_empty_all () =
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check bool) "pop none" true (Option.is_none (Event_queue.pop q))
 
+(* Acked retransmit timers are cancelled long before their deadline;
+   the queue must not keep their payloads alive until then. *)
+let test_cancelled_unreachable () =
+  let q = Event_queue.create () in
+  Event_queue.push q ~time:1.0 (Bytes.make 8 'l');
+  let n = 10_000 in
+  let tracked = Weak.create n in
+  let handles =
+    List.init n (fun i ->
+        let payload = Bytes.make 64 'c' in
+        Weak.set tracked i (Some payload);
+        Event_queue.push_cancelable q ~time:(1e6 +. float_of_int i) payload)
+  in
+  List.iter (fun h -> ignore (Event_queue.cancel q h)) handles;
+  Gc.full_major ();
+  let reachable = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check tracked i then incr reachable
+  done;
+  (* At most as many cancelled cells as live ones survive a sweep. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cancelled payloads still reachable" !reachable)
+    true (!reachable <= 1);
+  Alcotest.(check int) "one live event" 1 (Event_queue.size q);
+  Alcotest.(check (option (pair (float 0.0) string))) "it still pops"
+    (Some (1.0, "llllllll"))
+    (Option.map (fun (t, b) -> (t, Bytes.to_string b)) (Event_queue.pop q));
+  Alcotest.(check bool) "then empty" true (Event_queue.is_empty q)
+
 (* Model-based property: drain order equals a stable sort by time of
    the insertion sequence. Times are drawn from a tiny set so ties are
    the common case, exercising FIFO tie-breaking hard. *)
@@ -181,6 +210,8 @@ let suite =
     Alcotest.test_case "cancel at heap top" `Quick test_cancel_at_top;
     Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire;
     Alcotest.test_case "cancel everything" `Quick test_cancel_empty_all;
+    Alcotest.test_case "cancelled timers become unreachable" `Quick
+      test_cancelled_unreachable;
     QCheck_alcotest.to_alcotest prop_fifo_model;
     QCheck_alcotest.to_alcotest prop_cancel_model;
   ]

@@ -195,6 +195,20 @@ let test_ship_apply_equivalence () =
   Alcotest.(check int) "current standby resumes empty" 0
     (List.length (Repl.Ship.resume ship ~from_lsn:(Repl.Ship.next_lsn ship)))
 
+(* A burst of appends drains as one chunk: their bytes in order. *)
+let test_ship_drain_coalesces () =
+  let dev, _, _ = Device.in_memory () in
+  let ship, wrapped = Repl.Ship.tap dev in
+  let frames = List.init 1_000 (fun i -> Printf.sprintf "frame-%04d;" i) in
+  List.iter wrapped.Device.append_wal frames;
+  (match Repl.Ship.drain ship with
+  | [ Repl.E_frames bytes ] ->
+      Alcotest.(check bool) "one chunk, the appends concatenated" true
+        (String.equal bytes (String.concat "" frames))
+  | events -> Alcotest.failf "expected one chunk, got %d events" (List.length events));
+  Alcotest.(check int) "every append counted" 1_000 (Repl.Ship.frames_shipped ship);
+  Alcotest.(check int) "drained" 0 (List.length (Repl.Ship.drain ship))
+
 (* ------------------------------------------------------------------ *)
 (* In-process servers: no fork, two Broker_server values stepped by
    hand in one thread. *)
@@ -437,6 +451,8 @@ let suite =
     Alcotest.test_case "fence codec roundtrip" `Quick test_fence_codec;
     Alcotest.test_case "fence recovery and compaction survival" `Quick
       test_fence_recovery_and_compaction;
+    Alcotest.test_case "ship drain coalesces a burst" `Quick
+      test_ship_drain_coalesces;
     Alcotest.test_case "ship/apply state equivalence" `Quick
       test_ship_apply_equivalence;
     Alcotest.test_case "backoff resets after welcome" `Quick

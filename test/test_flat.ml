@@ -166,9 +166,9 @@ let test_run_packed_matches_boxed_loop () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Pruning: both paths agree with each other and with brute force. *)
+(* Pruning agrees with a naive filter. *)
 
-let test_intersecting_paths_agree () =
+let test_intersecting_rows_brute () =
   let rng = Prng.of_int 17 in
   for _ = 1 to 100 do
     let m = 1 + Prng.int rng 4 in
@@ -182,28 +182,56 @@ let test_intersecting_paths_agree () =
            (fun i -> Subscription.intersects subs.(i) s)
            (List.init k Fun.id))
     in
-    let scan = Flat.intersecting_rows ~crossover:max_int packed sbox in
-    let indexed = Flat.intersecting_rows ~crossover:0 packed sbox in
-    Alcotest.(check (array int)) "scan = brute force" brute scan;
-    Alcotest.(check (array int)) "indexed = brute force" brute indexed
+    Alcotest.(check (array int)) "scan = brute force" brute
+      (Flat.intersecting_rows packed sbox)
   done
 
-let test_superset_rows_agree () =
+(* ------------------------------------------------------------------ *)
+(* Growable packs: a view after any run of in-place inserts and
+   deletes holds the same bounds as packing the rows afresh, and every
+   kernel reads it the same way. *)
+
+let test_rows_view_is_pack () =
   let rng = Prng.of_int 18 in
-  for _ = 1 to 100 do
-    let m = 1 + Prng.int rng 3 in
-    let k = Prng.int rng 15 in
-    let _, subs = dist_problem rng ~m ~k in
-    let b = dist_sub rng ~m in
-    let packed = Flat.pack ~m subs in
-    let brute =
-      List.filter (fun i -> Subscription.covers_sub subs.(i) b)
-        (List.init k Fun.id)
-    in
-    let got = ref [] in
-    Flat.iter_superset_rows packed (Flat.box_of_sub b) ~f:(fun row ->
-        got := row :: !got);
-    Alcotest.(check (list int)) "superset rows" brute (List.rev !got)
+  for _ = 1 to 60 do
+    let m = 1 + Prng.int rng 4 in
+    let r = Flat.rows_create ~m in
+    let model = ref [||] in
+    for _ = 1 to 40 do
+      let n = Array.length !model in
+      if n > 0 && Prng.int rng 3 = 0 then begin
+        let at = Prng.int rng n in
+        Flat.rows_delete r ~at;
+        model := Array.append (Array.sub !model 0 at)
+            (Array.sub !model (at + 1) (n - at - 1))
+      end
+      else begin
+        let at = Prng.int rng (n + 1) in
+        let s = dist_sub rng ~m in
+        Flat.rows_insert r ~at s;
+        model :=
+          Array.concat [ Array.sub !model 0 at; [| s |]; Array.sub !model at (n - at) ]
+      end;
+      let view = Flat.view r and fresh = Flat.pack ~m !model in
+      Alcotest.(check bool) "view = pack" true (Flat.equal view fresh);
+      let s = dist_sub rng ~m in
+      let sbox = Flat.box_of_sub s in
+      Alcotest.(check (array int)) "same pruning"
+        (Flat.intersecting_rows fresh sbox)
+        (Flat.intersecting_rows view sbox);
+      let p = Array.make m 0 in
+      Flat.random_point_into ~rng sbox p;
+      Alcotest.(check bool) "same escape" (Flat.escapes fresh p)
+        (Flat.escapes view p);
+      if Flat.k view > 0 then begin
+        let row = Prng.int rng (Flat.k view) in
+        Alcotest.(check bool) "same row" true
+          (Subscription.equal (Flat.row_sub fresh row) (Flat.row_sub view row));
+        let rows = [| row; 0 |] in
+        Alcotest.(check bool) "same gather" true
+          (Flat.equal (Flat.gather fresh rows) (Flat.gather view rows))
+      end
+    done
   done
 
 (* ------------------------------------------------------------------ *)
@@ -334,9 +362,10 @@ let suite =
       test_draw_stream_identical;
     Alcotest.test_case "run_packed = boxed trial loop" `Quick
       test_run_packed_matches_boxed_loop;
-    Alcotest.test_case "pruning: scan = indexed = brute" `Quick
-      test_intersecting_paths_agree;
-    Alcotest.test_case "superset rows = brute" `Quick test_superset_rows_agree;
+    Alcotest.test_case "pruning: scan = brute" `Quick
+      test_intersecting_rows_brute;
+    Alcotest.test_case "rows: in-place edits = pack" `Quick
+      test_rows_view_is_pack;
     Alcotest.test_case "engine: pruning invisible" `Quick
       test_pruned_engine_equivalent;
     Alcotest.test_case "engine: pruning keeps pairwise" `Quick
