@@ -342,8 +342,6 @@ let test_churn_digest_pinned () =
 
 let suite =
   [
-    Alcotest.test_case "churn actions and WAL bytes pinned" `Quick
-      test_churn_digest_pinned;
     Alcotest.test_case "flood reaches everyone" `Quick test_flood_reaches_everyone;
     Alcotest.test_case "end-to-end delivery" `Quick test_delivery_end_to_end;
     Alcotest.test_case "no match, no forward" `Quick test_no_match_no_forward;
@@ -360,4 +358,6 @@ let suite =
       test_no_loss_without_group_policy;
     Alcotest.test_case "Eq. 2 analytic" `Quick test_chain_model_analytic;
     Alcotest.test_case "chain simulation" `Slow test_chain_model_simulation;
+    Alcotest.test_case "churn actions and WAL bytes pinned" `Quick
+      test_churn_digest_pinned;
   ]
