@@ -71,6 +71,11 @@ let time_ns_per_op f n =
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) *. 1e9 /. float_of_int n
 
+let time_s f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 let alloc_words_per_op f n =
   let before = Gc.minor_words () in
   for _ = 1 to n do
@@ -131,44 +136,15 @@ let run_kernels () =
     Flat.random_point_into ~rng sbox p;
     assert (Flat.escapes packed p)
   in
-  (* The parallel path's per-domain inner loop
-     (Rspc_parallel.trials_into), on a covered variant of the same
-     workload: appending s itself as a final row means no point
-     escapes, so every call performs its full budget — no witness
-     copy, no early stop — and must allocate nothing. This is the loop
-     each domain runs under Domain.spawn; measured here single-domain
-     so Gc counters are meaningful. *)
-  let inner_budget = 1000 in
-  let inner_calls = kernel_d / inner_budget in
-  let packed_covered = Flat.pack ~m:kernel_m (Array.append subs [| s |]) in
-  let found : int array option Atomic.t = Atomic.make None in
-  let parallel_inner_batch () =
-    let performed =
-      Rspc_parallel.trials_into ~rng ~sbox ~packed:packed_covered ~found
-        ~budget:inner_budget p
-    in
-    assert (performed = inner_budget)
-  in
   (* Warm up all paths so one-time setup does not pollute Gc counts. *)
   for _ = 1 to 1000 do
     boxed_trial ();
     flat_trial ()
   done;
-  for _ = 1 to 10 do
-    parallel_inner_batch ()
-  done;
   let boxed_alloc = alloc_words_per_op boxed_trial kernel_d in
   let flat_alloc = alloc_words_per_op flat_trial kernel_d in
-  let parallel_alloc =
-    alloc_words_per_op parallel_inner_batch inner_calls
-    /. float_of_int inner_budget
-  in
   let boxed_ns = time_ns_per_op boxed_trial kernel_d in
   let flat_ns = time_ns_per_op flat_trial kernel_d in
-  let parallel_ns =
-    time_ns_per_op parallel_inner_batch inner_calls
-    /. float_of_int inner_budget
-  in
   let speedup = boxed_ns /. flat_ns in
   let results =
     [
@@ -181,13 +157,6 @@ let run_kernels () =
         op = "escape_trial_flat";
         ns_per_op = flat_ns;
         alloc_words_per_op = flat_alloc;
-      };
-      {
-        (* Per trial, not per call: each call performs inner_budget
-           trials on k+1 rows (the appended covering row). *)
-        op = "escape_trial_parallel_inner";
-        ns_per_op = parallel_ns;
-        alloc_words_per_op = parallel_alloc;
       };
     ]
   in
@@ -208,215 +177,10 @@ let run_kernels () =
       "FAIL: flat trial allocates %.4f words/trial (expected 0)\n" flat_alloc;
     exit 1
   end;
-  if parallel_alloc >= 0.01 then begin
-    Printf.eprintf
-      "FAIL: parallel inner loop allocates %.4f words/trial (expected 0)\n"
-      parallel_alloc;
-    exit 1
-  end;
   if speedup < 2.0 then begin
     Printf.eprintf "FAIL: flat speedup %.2fx < 2x over boxed path\n" speedup;
     exit 1
   end
-
-(* ------------------------------------------------------------------ *)
-(* Engine pipeline bench: end-to-end classification throughput through
-   the subscription store under the group policy — sequential vs a
-   shared domain pool — plus an RSPC-level comparison of pool reuse
-   against per-call domain spawning. (Item-parallel batching is
-   benched on the sharded store, `shard`, where routing bounds the
-   snapshot invalidation that sank the flat store's batch path.)
-   Emits BENCH_engine.json. Every parallel mode must reproduce the
-   sequential results bit-for-bit (the stores share a seed); a
-   mismatch is a hard failure, a low speedup is not (this may run on a
-   single-core machine — the JSON records the core count). *)
-
-type engine_params = {
-  fast : bool;
-  ek : int; (* staircase active-set size *)
-  em : int; (* arity *)
-  cap : int; (* RSPC max_iterations *)
-  arrivals : int;
-  workers : int; (* pool workers; domains = workers + 1 *)
-  micro_k : int; (* rows in the RSPC reuse micro *)
-  micro_d : int; (* trial budget of the RSPC reuse micro *)
-  micro_reps : int;
-}
-
-let engine_params ~fast =
-  if fast then
-    { fast; ek = 100; em = 8; cap = 800; arrivals = 40; workers = 3;
-      micro_k = 64; micro_d = 4096; micro_reps = 3 }
-  else
-    { fast; ek = 1000; em = 8; cap = 4000; arrivals = 200; workers = 3;
-      micro_k = 128; micro_d = 16384; micro_reps = 5 }
-
-(* Staircase workload. Base rows overlap in a chain on attribute 0
-   (row i spans [i·g, i·g + 2g], full range elsewhere), so each is
-   active on arrival — not covered by the union of its predecessors —
-   while a later arrival spanning many steps is covered by the group
-   but by no single row: exactly the regime where the engine must
-   spend its RSPC budget. Every fourth arrival instead lands beyond
-   the staircase (no intersecting candidate: an instant active
-   verdict), mixing instant and budget-bound classifications. *)
-let staircase_base p =
-  let g = 9000 / p.ek in
-  Array.init p.ek (fun i ->
-      Subscription.of_bounds
-        (List.init p.em (fun j ->
-             if j = 0 then (i * g, (i * g) + (2 * g)) else (0, 9999))))
-
-let engine_arrivals p =
-  let g = 9000 / p.ek in
-  let span = 5000 in
-  Array.init p.arrivals (fun j ->
-      Subscription.of_bounds
-        (List.init p.em (fun a ->
-             if a <> 0 then (0, 9999)
-             else if j mod 4 = 3 then (9900, 9999)
-             else begin
-               let lo = g + (j * 37 mod (3800 - g)) in
-               (lo, lo + span)
-             end)))
-
-let time_s f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let placements_equal a b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i (id, p) -> if b.(i) <> (id, p) then ok := false) a;
-       !ok
-     end
-
-let run_engine ~fast () =
-  let p = engine_params ~fast in
-  print_endline "=================================================";
-  print_endline " Engine pipeline bench (sequential vs pool)";
-  print_endline "=================================================";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "k=%d m=%d cap=%d arrivals=%d domains=%d (machine cores: %d)\n"
-    p.ek p.em p.cap p.arrivals (p.workers + 1) cores;
-  let cfg = Engine.config ~delta:1e-6 ~max_iterations:p.cap () in
-  let policy = Subscription_store.Group_policy cfg in
-  let base = staircase_base p in
-  let arrivals = engine_arrivals p in
-  let store_seed = 7 in
-  Domain_pool.with_pool ~workers:p.workers (fun pool ->
-      let seq_store =
-        Subscription_store.create ~policy ~arity:p.em ~seed:store_seed ()
-      in
-      let pooled_store =
-        Subscription_store.create ~policy ~pool ~arity:p.em ~seed:store_seed ()
-      in
-      (* Untimed: install the staircase active set in every store. *)
-      Array.iter
-        (fun s ->
-          ignore (Subscription_store.add seq_store s);
-          ignore (Subscription_store.add pooled_store s))
-        base;
-      (* Timed: classify the arrival stream both ways. *)
-      let add_loop store () =
-        Array.map (fun s -> Subscription_store.add store s) arrivals
-      in
-      let seq_res, seq_t = time_s (add_loop seq_store) in
-      let pooled_res, pooled_t = time_s (add_loop pooled_store) in
-      let verdicts_match =
-        placements_equal seq_res pooled_res
-        && Subscription_store.active_count seq_store
-           = Subscription_store.active_count pooled_store
-      in
-      let thru t = float_of_int p.arrivals /. t in
-      Printf.printf "%-12s %8.3f s  %10.1f subs/s\n" "sequential" seq_t
-        (thru seq_t);
-      Printf.printf "%-12s %8.3f s  %10.1f subs/s  (x%.2f)\n" "pooled"
-        pooled_t (thru pooled_t) (seq_t /. pooled_t);
-      Printf.printf "parallel results identical to sequential: %b\n"
-        verdicts_match;
-      (* RSPC reuse micro: the same parallel runner, fed per call by a
-         throwaway pool (per-call spawn) versus the shared pool. A
-         final all-containing row keeps every run at its full budget
-         so the three modes do identical work; fresh generators per
-         rep make their outcomes comparable bit-for-bit. *)
-      let micro_subs =
-        Array.init (p.micro_k + 1) (fun i ->
-            Subscription.of_bounds
-              (List.init p.em (fun j ->
-                   if i = p.micro_k || j <> p.em - 1 then (0, 9999)
-                   else (20_000 + i, 30_000 + i))))
-      in
-      let micro_s =
-        Subscription.of_bounds (List.init p.em (fun _ -> (0, 9999)))
-      in
-      let micro_packed = Flat.pack ~m:p.em micro_subs in
-      let micro_sbox = Flat.box_of_sub micro_s in
-      let micro_run ~mode rep =
-        let rng = Prng.of_int (store_seed + (1000 * rep)) in
-        match mode with
-        | `Seq -> Rspc.run_packed ~rng ~d:p.micro_d ~sbox:micro_sbox micro_packed
-        | `Spawn ->
-            Rspc_parallel.run_packed ~domains:(p.workers + 1) ~rng
-              ~d:p.micro_d ~sbox:micro_sbox micro_packed
-        | `Pool ->
-            Rspc_parallel.run_packed ~pool ~rng ~d:p.micro_d ~sbox:micro_sbox
-              micro_packed
-      in
-      let time_mode mode =
-        let runs = ref [] in
-        let _, t =
-          time_s (fun () ->
-              for rep = 1 to p.micro_reps do
-                runs := micro_run ~mode rep :: !runs
-              done)
-        in
-        (List.rev !runs, t *. 1e9 /. float_of_int p.micro_reps)
-      in
-      let seq_runs, seq_ns = time_mode `Seq in
-      let spawn_runs, spawn_ns = time_mode `Spawn in
-      let pool_runs, pool_ns = time_mode `Pool in
-      let micro_match = seq_runs = spawn_runs && seq_runs = pool_runs in
-      let reuse_speedup = spawn_ns /. pool_ns in
-      Printf.printf
-        "rspc micro (k=%d, d=%d): seq %.2e ns, per-call spawn %.2e ns, \
-         shared pool %.2e ns  (reuse x%.2f, identical: %b)\n"
-        p.micro_k p.micro_d seq_ns spawn_ns pool_ns reuse_speedup micro_match;
-      let oc = open_out "BENCH_engine.json" in
-      Printf.fprintf oc "{\n  \"bench\": \"engine_pipeline\",\n";
-      Printf.fprintf oc "  \"fast\": %b,\n  \"cores\": %d,\n" p.fast cores;
-      Printf.fprintf oc
-        "  \"k\": %d,\n  \"m\": %d,\n  \"max_iterations\": %d,\n" p.ek p.em
-        p.cap;
-      Printf.fprintf oc "  \"arrivals\": %d,\n  \"domains\": %d,\n"
-        p.arrivals (p.workers + 1);
-      Printf.fprintf oc "  \"modes\": [\n";
-      List.iteri
-        (fun i (name, t) ->
-          Printf.fprintf oc
-            "    { \"mode\": %S, \"seconds\": %.4f, \"subs_per_sec\": %.1f \
-             }%s\n"
-            name t (thru t)
-            (if i = 1 then "" else ","))
-        [ ("sequential", seq_t); ("pooled", pooled_t) ];
-      Printf.fprintf oc "  ],\n";
-      Printf.fprintf oc "  \"speedup_pooled\": %.3f,\n" (seq_t /. pooled_t);
-      Printf.fprintf oc
-        "  \"rspc_micro\": { \"k\": %d, \"d\": %d, \"seq_ns\": %.0f, \
-         \"spawn_ns\": %.0f, \"pool_ns\": %.0f, \"pool_reuse_speedup\": \
-         %.3f },\n"
-        p.micro_k p.micro_d seq_ns spawn_ns pool_ns reuse_speedup;
-      Printf.fprintf oc "  \"verdicts_match\": %b\n}\n"
-        (verdicts_match && micro_match);
-      close_out oc;
-      print_endline "wrote BENCH_engine.json";
-      if not (verdicts_match && micro_match) then begin
-        Printf.eprintf
-          "FAIL: parallel classification diverged from the sequential \
-           reference\n";
-        exit 1
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery bench: WAL append overhead per store mutation (in-memory
@@ -644,11 +408,6 @@ let micro_tests () =
            ignore
              (Rspc.run ~rng ~d:50_000 ~s:covered_box
                 covered_set)));
-    Test.make ~name:"ext: RSPC 50k trials, parallel domains (covered input)"
-      (stage (fun () ->
-           ignore
-             (Rspc_parallel.run ~rng ~d:50_000 ~s:covered_box
-                covered_set)));
     Test.make ~name:"fig13: pairwise coverage scan (k=100, m=10)"
       (stage (fun () ->
            ignore (Pairwise.find_coverer covering.Scenario.s covering.Scenario.set)));
@@ -703,18 +462,14 @@ let run_micro () =
       same arrival stream under the same store seed; ids, placements,
       coverer lists, final active/covered sets, match sets and
       publication reports must all agree (hard failure otherwise), and
-      the sharded add throughput is recorded against the flat store's
-      at several pool worker counts.
-   2. Scale: grow a sharded store to the target size via add_batch at
-      each worker count; placements must be identical across worker
-      counts (the pre-split generator discipline) and the digests are
-      compared to enforce it.
+      the sharded add throughput is recorded against the flat store's.
+   2. Scale: grow a sharded store to the target size via add_batch.
    3. Matching at scale: publication fan-out throughput and the
       per-publication active-scan cost, spot-checked against the
       exhaustive scan.
 
-   Low speedups are tolerated on starved machines (the JSON records
-   the core count); divergent verdicts never are. *)
+   Divergent verdicts, or a sharded store no faster than the flat one,
+   fail the run. *)
 
 type shard_params = {
   label : string;
@@ -723,22 +478,19 @@ type shard_params = {
   s_arrivals : int; (* equivalence-phase timed arrivals *)
   target : int; (* scale-phase stored subscriptions *)
   sshards : int; (* shard count at scale *)
-  s_workers : int list; (* pool worker counts swept (0 = no pool) *)
   s_pubs : int; (* publications timed at scale *)
 }
 
 let shard_params = function
   | `Fast ->
       { label = "fast"; sm = 4; sk0 = 1200; s_arrivals = 300; target = 20_000;
-        sshards = 64; s_workers = [ 0; 1; 3 ]; s_pubs = 200 }
+        sshards = 64; s_pubs = 200 }
   | `Default ->
       { label = "default"; sm = 4; sk0 = 8000; s_arrivals = 2000;
-        target = 100_000; sshards = 128; s_workers = [ 0; 1; 3 ];
-        s_pubs = 1000 }
+        target = 100_000; sshards = 128; s_pubs = 1000 }
   | `Full ->
       { label = "full"; sm = 4; sk0 = 20_000; s_arrivals = 4000;
-        target = 1_000_000; sshards = 256; s_workers = [ 0; 1; 3 ];
-        s_pubs = 1000 }
+        target = 1_000_000; sshards = 256; s_pubs = 1000 }
 
 let shard_domain0 = Interval.make ~lo:0 ~hi:999_999
 
@@ -780,20 +532,6 @@ let shard_pub ~m i =
     (Array.init m (fun j ->
          if j = 0 then pos else (pos + (j * 977)) mod 99_000))
 
-(* Order- and content-sensitive fold over a result array; cheap to
-   compare across worker counts without retaining 1M-entry arrays. *)
-let shard_digest acc rs =
-  Array.fold_left
-    (fun acc (id, pl) ->
-      let c =
-        match pl with
-        | Subscription_store.Active -> 17
-        | Subscription_store.Covered by ->
-            31 + List.fold_left ( + ) (List.length by) by
-      in
-      (acc * 1_000_003) + id + c)
-    acc rs
-
 let run_shard ~mode () =
   let p = shard_params mode in
   print_endline "=================================================";
@@ -812,10 +550,6 @@ let run_shard ~mode () =
       Printf.eprintf "FAIL: %s\n" msg
     end
   in
-  let with_workers workers f =
-    if workers = 0 then f None
-    else Domain_pool.with_pool ~workers (fun pool -> f (Some pool))
-  in
   (* --- Phase 1: equivalence + flat comparison --------------------- *)
   let seed_subs = Array.init p.sk0 (fun i -> shard_sub ~m:p.sm i) in
   let arrivals =
@@ -828,130 +562,70 @@ let run_shard ~mode () =
   let flat_res, flat_t =
     time_s (fun () -> Array.map (Subscription_store.add flat) arrivals)
   in
-  let eq_rows =
-    List.map
-      (fun workers ->
-        with_workers workers (fun pool ->
-            let t =
-              Shard_store.create ~policy ?pool ~shards:p.sshards
-                ~domain0:shard_domain0 ~arity:p.sm ~seed:store_seed ()
-            in
-            ignore (Shard_store.add_batch t seed_subs);
-            let res, dt = time_s (fun () -> Shard_store.add_batch t arrivals) in
-            note (res = flat_res)
-              (Printf.sprintf
-                 "sharded placements diverge from flat (workers=%d)" workers);
-            if workers = 0 then begin
-              note
-                (Subscription_store.active flat = Shard_store.active t
-                && Subscription_store.covered flat = Shard_store.covered t)
-                "sharded final state diverges from flat";
-              note
-                (Subscription_store.splits_consumed flat
-                = Shard_store.splits_consumed t)
-                "sharded split stream diverges from flat";
-              (* Publication agreement: match sets exactly; reports up
-                 to row indexing (rows index each store's candidate
-                 array; full fidelity is property-tested). *)
-              for i = 0 to 19 do
-                let pub = shard_pub ~m:p.sm (i * 131) in
-                note
-                  (Subscription_store.match_publication flat pub
-                  = Shard_store.match_publication t pub)
-                  (Printf.sprintf "match sets diverge on publication %d" i);
-                let ra =
-                  Subscription_store.check_publication flat
-                    ~rng:(Prng.of_int (900 + i)) pub
-                in
-                let rb =
-                  Shard_store.check_publication t
-                    ~rng:(Prng.of_int (900 + i)) pub
-                in
-                note
-                  (Engine.is_covered ra.Engine.verdict
-                   = Engine.is_covered rb.Engine.verdict
-                  && ra.Engine.k_pruned = rb.Engine.k_pruned
-                  && ra.Engine.k_reduced = rb.Engine.k_reduced
-                  && ra.Engine.d_used = rb.Engine.d_used
-                  && ra.Engine.iterations = rb.Engine.iterations)
-                  (Printf.sprintf "check reports diverge on publication %d" i)
-              done
-            end;
-            (workers, dt)))
-      p.s_workers
+  let sharded () =
+    Shard_store.create ~policy ~shards:p.sshards ~domain0:shard_domain0
+      ~arity:p.sm ~seed:store_seed ()
   in
+  let t = sharded () in
+  ignore (Shard_store.add_batch t seed_subs);
+  let res, shard_t = time_s (fun () -> Shard_store.add_batch t arrivals) in
+  note (res = flat_res) "sharded placements diverge from flat";
+  note
+    (Subscription_store.active flat = Shard_store.active t
+    && Subscription_store.covered flat = Shard_store.covered t)
+    "sharded final state diverges from flat";
+  note
+    (Subscription_store.splits_consumed flat = Shard_store.splits_consumed t)
+    "sharded split stream diverges from flat";
+  (* Publication agreement: match sets exactly; reports up to row
+     indexing (rows index each store's candidate array; full fidelity
+     is property-tested). *)
+  for i = 0 to 19 do
+    let pub = shard_pub ~m:p.sm (i * 131) in
+    note
+      (Subscription_store.match_publication flat pub
+      = Shard_store.match_publication t pub)
+      (Printf.sprintf "match sets diverge on publication %d" i);
+    let ra =
+      Subscription_store.check_publication flat ~rng:(Prng.of_int (900 + i)) pub
+    in
+    let rb = Shard_store.check_publication t ~rng:(Prng.of_int (900 + i)) pub in
+    note
+      (Engine.is_covered ra.Engine.verdict = Engine.is_covered rb.Engine.verdict
+      && ra.Engine.k_pruned = rb.Engine.k_pruned
+      && ra.Engine.k_reduced = rb.Engine.k_reduced
+      && ra.Engine.d_used = rb.Engine.d_used
+      && ra.Engine.iterations = rb.Engine.iterations)
+      (Printf.sprintf "check reports diverge on publication %d" i)
+  done;
   let thru n t = float_of_int n /. t in
   Printf.printf "equivalence phase: k0=%d arrivals=%d\n" p.sk0 p.s_arrivals;
   Printf.printf "%-18s %8.3f s  %10.1f adds/s\n" "flat" flat_t
     (thru p.s_arrivals flat_t);
-  List.iter
-    (fun (w, dt) ->
-      Printf.printf "%-18s %8.3f s  %10.1f adds/s  (x%.2f vs flat)\n"
-        (Printf.sprintf "sharded (w=%d)" w)
-        dt
-        (thru p.s_arrivals dt)
-        (flat_t /. dt))
-    eq_rows;
-  let beats_flat =
-    List.exists (fun (w, dt) -> w >= 1 && dt < flat_t) eq_rows
-  in
-  note beats_flat "sharded add throughput does not beat flat at >= 2 domains";
+  Printf.printf "%-18s %8.3f s  %10.1f adds/s  (x%.2f vs flat)\n" "sharded"
+    shard_t
+    (thru p.s_arrivals shard_t)
+    (flat_t /. shard_t);
+  let beats_flat = shard_t < flat_t in
+  note beats_flat "sharded add throughput does not beat flat";
   (* --- Phase 2: scale --------------------------------------------- *)
-  let scale_store = ref None in
-  let scale_rows =
-    List.map
-      (fun workers ->
-        with_workers workers (fun pool ->
-            let t =
-              Shard_store.create ~policy ?pool ~shards:p.sshards
-                ~domain0:shard_domain0 ~arity:p.sm ~seed:store_seed ()
-            in
-            let digest = ref 0 in
-            let chunk = 10_000 in
-            let _, dt =
-              time_s (fun () ->
-                  let i = ref 0 in
-                  while !i < p.target do
-                    let b = min chunk (p.target - !i) in
-                    let batch =
-                      Array.init b (fun j -> shard_sub ~m:p.sm (!i + j))
-                    in
-                    digest := shard_digest !digest (Shard_store.add_batch t batch);
-                    i := !i + b
-                  done)
-            in
-            (* Keep the no-pool store for the matching phase: it must
-               outlive this closure, and a pooled store would hold a
-               pool that with_pool is about to shut down. *)
-            if workers = 0 then scale_store := Some t;
-            (workers, dt, !digest, Shard_store.active_count t)))
-      p.s_workers
+  let t = sharded () in
+  let chunk = 10_000 in
+  let _, scale_t =
+    time_s (fun () ->
+        let i = ref 0 in
+        while !i < p.target do
+          let b = min chunk (p.target - !i) in
+          let batch = Array.init b (fun j -> shard_sub ~m:p.sm (!i + j)) in
+          ignore (Shard_store.add_batch t batch);
+          i := !i + b
+        done)
   in
   Printf.printf "scale phase: %d stored subscriptions\n" p.target;
-  List.iter
-    (fun (w, dt, _, actives) ->
-      Printf.printf "%-18s %8.3f s  %10.1f adds/s  (%d active)\n"
-        (Printf.sprintf "grow (w=%d)" w)
-        dt
-        (thru p.target dt)
-        actives)
-    scale_rows;
-  let consistent =
-    match scale_rows with
-    | [] -> true
-    | (_, _, d0, a0) :: rest ->
-        List.for_all (fun (_, _, d, a) -> d = d0 && a = a0) rest
-  in
-  note consistent "scale-phase placements diverge across worker counts";
+  Printf.printf "%-18s %8.3f s  %10.1f adds/s  (%d active)\n" "grow" scale_t
+    (thru p.target scale_t)
+    (Shard_store.active_count t);
   (* --- Phase 3: matching at scale ---------------------------------- *)
-  let t =
-    match !scale_store with
-    | Some t -> t
-    | None ->
-        (* Unreachable: s_workers always contains 0. *)
-        Shard_store.create ~policy ~shards:p.sshards ~domain0:shard_domain0
-          ~arity:p.sm ~seed:store_seed ()
-  in
   let st0 = Shard_store.stats t in
   let hits = ref 0 in
   let _, match_t =
@@ -999,35 +673,19 @@ let run_shard ~mode () =
     p.target;
   Printf.fprintf oc
     "  \"equivalence\": {\n    \"k0\": %d,\n    \"arrivals\": %d,\n\
-    \    \"flat_seconds\": %.4f,\n    \"flat_adds_per_sec\": %.1f,\n\
-    \    \"sharded\": [\n"
+    \    \"flat_seconds\": %.4f,\n    \"flat_adds_per_sec\": %.1f,\n"
     p.sk0 p.s_arrivals flat_t (thru p.s_arrivals flat_t);
-  List.iteri
-    (fun i (w, dt) ->
-      Printf.fprintf oc
-        "      { \"workers\": %d, \"domains\": %d, \"seconds\": %.4f, \
-         \"adds_per_sec\": %.1f, \"speedup_vs_flat\": %.3f }%s\n"
-        w (w + 1) dt
-        (thru p.s_arrivals dt)
-        (flat_t /. dt)
-        (if i = List.length eq_rows - 1 then "" else ","))
-    eq_rows;
-  Printf.fprintf oc "    ]\n  },\n";
-  Printf.fprintf oc "  \"sharded_beats_flat_at_2_domains\": %b,\n" beats_flat;
-  Printf.fprintf oc "  \"scale\": {\n    \"stored\": %d,\n    \"runs\": [\n"
-    p.target;
-  List.iteri
-    (fun i (w, dt, _, actives) ->
-      Printf.fprintf oc
-        "      { \"workers\": %d, \"domains\": %d, \"seconds\": %.4f, \
-         \"adds_per_sec\": %.1f, \"active\": %d }%s\n"
-        w (w + 1) dt (thru p.target dt) actives
-        (if i = List.length scale_rows - 1 then "" else ","))
-    scale_rows;
   Printf.fprintf oc
-    "    ],\n    \"batch_inline_threshold\": %d,\n\
-    \    \"consistent_across_workers\": %b\n  },\n"
-    Shard_store.batch_inline_threshold consistent;
+    "    \"sharded_seconds\": %.4f,\n    \"sharded_adds_per_sec\": %.1f,\n\
+    \    \"speedup_vs_flat\": %.3f\n  },\n"
+    shard_t
+    (thru p.s_arrivals shard_t)
+    (flat_t /. shard_t);
+  Printf.fprintf oc "  \"sharded_beats_flat\": %b,\n" beats_flat;
+  Printf.fprintf oc
+    "  \"scale\": { \"stored\": %d, \"seconds\": %.4f, \"adds_per_sec\": %.1f, \
+     \"active\": %d },\n"
+    p.target scale_t (thru p.target scale_t) (Shard_store.active_count t);
   Printf.fprintf oc
     "  \"matching\": { \"publications\": %d, \"pubs_per_sec\": %.1f, \
      \"avg_scans_per_pub\": %.1f, \"avg_index_hits_per_pub\": %.1f, \
@@ -1416,7 +1074,6 @@ let run_failover ~fast () =
 
 let () =
   (* `main.exe kernels` runs only the fast flat-kernel bench;
-     `main.exe engine [fast]` runs only the pipeline bench;
      `main.exe recovery [fast]` runs only the WAL/recovery bench;
      `main.exe shard [fast|--full]` runs only the sharded-fabric
      bench; `main.exe match [fast|--full]` runs only the counting-index
@@ -1424,8 +1081,6 @@ let () =
      replication/failover bench; a numeric argument sets the
      figure-regeneration run count. *)
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "kernels" then run_kernels ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "engine" then
-    run_engine ~fast:(Array.length Sys.argv > 2 && Sys.argv.(2) = "fast") ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "recovery" then
     run_recovery ~fast:(Array.length Sys.argv > 2 && Sys.argv.(2) = "fast") ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "serve" then

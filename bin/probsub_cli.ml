@@ -241,15 +241,7 @@ let check_cmd =
     in
     Arg.(value & flag & info [ "probes" ] ~doc)
   in
-  let domains_arg =
-    let doc =
-      "Run the RSPC stage on this many domains (a worker pool of N-1 plus \
-       the caller). The verdict, witness and iteration count are \
-       bit-identical to the sequential run for the same seed."
-    in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-  in
-  let run schema sub_text set_path delta probes domains seed =
+  let run schema sub_text set_path delta probes seed =
     let ( let* ) = Result.bind in
     match
       let* codec = load_schema schema in
@@ -262,18 +254,9 @@ let check_cmd =
       Ok (codec, sub, set)
     with
     | Error e -> runtime_errorf "%s" e
-    | Ok (_, _, _) when domains < 1 -> `Error (false, "--domains must be >= 1")
     | Ok (codec, sub, set) ->
         let config = Engine.config ~delta ~use_probes:probes () in
-        let check_with pool =
-          Engine.check ~config ?pool ~rng:(Prng.of_int seed) sub set
-        in
-        let report =
-          if domains = 1 then check_with None
-          else
-            Domain_pool.with_pool ~workers:(domains - 1) (fun pool ->
-                check_with (Some pool))
-        in
+        let report = Engine.check ~config ~rng:(Prng.of_int seed) sub set in
         Format.printf "subscription: %a@." (Domain_codec.pp_subscription codec) sub;
         Format.printf "against %d existing subscription(s), delta = %g@."
           (Array.length set) delta;
@@ -313,7 +296,7 @@ let check_cmd =
     Term.(
       ret
         (const run $ schema_arg $ sub_arg $ set_arg $ delta_arg $ probes_arg
-        $ domains_arg $ seed_arg))
+        $ seed_arg))
 
 let match_cmd =
   let pub_arg =

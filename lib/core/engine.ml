@@ -81,7 +81,7 @@ let remap_mcs keep result =
     removed = List.map (fun i -> keep.(i)) result.Mcs.removed;
   }
 
-let check ?(config = default_config) ?pool ?packed ~rng s subs =
+let check ?(config = default_config) ?packed ~rng s subs =
   let k_initial = Array.length subs in
   if k_initial = 0 then
     base_report ~verdict:(Not_covered Empty_set) ~k_initial ~k_pruned:0
@@ -196,13 +196,7 @@ let check ?(config = default_config) ?pool ?packed ~rng s subs =
                   Rho.d_capped rho_estimate ~delta:config.delta
                     ~cap:config.max_iterations
                 in
-                let run =
-                  match pool with
-                  | Some pool ->
-                      Rspc_parallel.run_packed ~pool ~rng ~d:d_used ~sbox
-                        reduced_packed
-                  | None -> Rspc.run_packed ~rng ~d:d_used ~sbox reduced_packed
-                in
+                let run = Rspc.run_packed ~rng ~d:d_used ~sbox reduced_packed in
                 let verdict =
                   match run.Rspc.outcome with
                   | Rspc.Not_covered p -> Not_covered (Point p)
@@ -229,39 +223,8 @@ let check ?(config = default_config) ?pool ?packed ~rng s subs =
         end
   end
 
-let check_publication ?config ?pool ?packed ~rng pub subs =
-  check ?config ?pool ?packed ~rng (Publication.to_sub pub) subs
-
-(* Batch classification: item-level parallelism only. Each item runs
-   the full sequential pipeline (fast decisions, MCS, sequential RSPC)
-   on a pool worker — never the parallel RSPC, which would have worker
-   tasks submitting to their own pool (a deadlock; see the ownership
-   contract in domain_pool.mli). Item i draws the i-th split of [rng],
-   so the result array is identical to the sequential per-item loop no
-   matter how items land on workers. The rng array is materialised
-   only when the parallel path actually engages (pool present, with
-   workers, more than one item); the sequential fallthrough splits
-   lazily per item and carries no per-item pre-split overhead. *)
-let check_batch ?(config = default_config) ?pool ?packed ~rng ss subs =
-  let n = Array.length ss in
-  match pool with
-  | Some pool when n > 1 && Domain_pool.size pool > 0 ->
-      let rngs = Array.make n rng in
-      for i = 0 to n - 1 do
-        rngs.(i) <- Prng.split rng
-      done;
-      Domain_pool.map_slices pool ~n ~f:(fun i ->
-          check ~config ?packed ~rng:rngs.(i) ss.(i) subs)
-  | Some _ | None ->
-      if n = 0 then [||]
-      else begin
-        let first = check ~config ?packed ~rng:(Prng.split rng) ss.(0) subs in
-        let out = Array.make n first in
-        for i = 1 to n - 1 do
-          out.(i) <- check ~config ?packed ~rng:(Prng.split rng) ss.(i) subs
-        done;
-        out
-      end
+let check_publication ?config ?packed ~rng pub subs =
+  check ?config ?packed ~rng (Publication.to_sub pub) subs
 
 let theoretical_log10_d ?(use_mcs = true) ~delta s subs =
   if Array.length subs = 0 then neg_infinity

@@ -97,18 +97,12 @@ val is_covered : verdict -> bool
 (** [true] on both YES verdicts. *)
 
 val check :
-  ?config:config -> ?pool:Domain_pool.t -> ?packed:Flat.t -> rng:Prng.t ->
+  ?config:config -> ?packed:Flat.t -> rng:Prng.t ->
   Subscription.t -> Subscription.t array -> report
 (** [check ~rng s subs] answers whether [subs] jointly cover [s].
     Definite answers (NO, pairwise YES) are always correct;
     [Covered_probably] errs with probability at most
     [achieved_delta] (Proposition 1).
-
-    [?pool] parallelises the RSPC stage over the pool's workers via
-    {!Rspc_parallel.run_packed}. The report — verdict, witness,
-    iteration count, every diagnostic — is bit-identical to the
-    sequential engine for the same seed; a pool is purely a
-    performance knob.
 
     [?packed] must hold the bounds of [subs] row for row ([Flat.pack]
     of [subs], or a {!Flat.view} of the same rows); the subscription
@@ -118,32 +112,13 @@ val check :
     disagrees with [subs]. *)
 
 val check_publication :
-  ?config:config -> ?pool:Domain_pool.t -> ?packed:Flat.t -> rng:Prng.t ->
+  ?config:config -> ?packed:Flat.t -> rng:Prng.t ->
   Publication.t -> Subscription.t array -> report
 (** The general subsumption question for a publication (§1 models
     imprecise publications as boxes too): is the publication's box
     covered by the subscription union? A point publication degenerates
     to exact matching; a box publication is where the probabilistic
     machinery pays off. *)
-
-val check_batch :
-  ?config:config -> ?pool:Domain_pool.t -> ?packed:Flat.t -> rng:Prng.t ->
-  Subscription.t array -> Subscription.t array -> report array
-(** [check_batch ~rng ss subs] checks each [ss.(i)] against the same
-    candidate set [subs], giving item [i] the i-th [Prng.split] of
-    [rng]; the result array equals the sequential loop
-    [check ~rng:(Prng.split rng) ss.(i) subs] over ascending [i]
-    exactly. With [?pool], items are checked in parallel across
-    workers — item-level parallelism only: each item runs the
-    sequential RSPC internally, because a worker task must never
-    submit to its own pool (see the {!Domain_pool} ownership
-    contract). The per-item generators are pre-split into an array
-    only when that parallel path engages (a pool with workers and more
-    than one item); otherwise the call falls through to the sequential
-    loop, splitting lazily per item with no pre-split overhead. Since
-    every item owns its split, scheduling cannot perturb any result.
-    [?packed] is shared by all items.
-    @raise Invalid_argument on the per-item conditions of {!check}. *)
 
 val theoretical_log10_d :
   ?use_mcs:bool -> delta:float -> Subscription.t -> Subscription.t array ->

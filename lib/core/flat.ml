@@ -155,46 +155,22 @@ let random_point_into ~rng box p =
          ~hi:(Array.unsafe_get box.bhi j))
   done
 
-(* Draw [n] consecutive points into the flat buffer [buf] (point [t]
-   occupies [t*m .. t*m + m)). Draw order is ascending [t] then
-   ascending attribute, so the consumed Prng stream is bit-identical to
-   [n] successive [random_point_into] calls — the deterministic
-   block-parallel RSPC relies on this to reproduce the sequential
-   trial stream exactly. *)
-let random_points_into ~rng box buf ~n =
-  if n < 0 then invalid_arg "Flat.random_points_into: negative count";
-  if Array.length buf < n * box.bm then
-    invalid_arg "Flat.random_points_into: buffer too small";
-  let m = box.bm in
-  for t = 0 to n - 1 do
-    let base = t * m in
-    for j = 0 to m - 1 do
-      Array.unsafe_set buf (base + j)
-        (Prng.int_in rng ~lo:(Array.unsafe_get box.blo j)
-           ~hi:(Array.unsafe_get box.bhi j))
-    done
-  done
-
 (* The [int array] annotations matter: without them the function
    let-generalizes to ['a array] and every [<=] compiles to a
    [caml_lessequal] call — an order of magnitude slower than the
    unboxed integer compare. *)
-let[@inline] covers_row_at (bounds : int array) ~hi ~base ~m
-    (buf : int array) ~off =
+let[@inline] covers_row_unsafe (bounds : int array) ~hi ~base ~m
+    (p : int array) =
   let j = ref 0 in
   let inside = ref true in
   while !inside && !j < m do
-    let v = Array.unsafe_get buf (off + !j) in
+    let v = Array.unsafe_get p !j in
     inside :=
       Array.unsafe_get bounds (base + !j) <= v
       && v <= Array.unsafe_get bounds (hi + base + !j);
     incr j
   done;
   !inside
-
-let[@inline] covers_row_unsafe (bounds : int array) ~hi ~base ~m
-    (p : int array) =
-  covers_row_at bounds ~hi ~base ~m p ~off:0
 
 let covers_row t ~row p =
   if row < 0 || row >= t.k then invalid_arg "Flat.covers_row: row";
@@ -208,24 +184,6 @@ let escapes t p =
   let escaped = ref true in
   while !escaped && !i < t.k do
     if covers_row_unsafe bounds ~hi ~base:(!i * m) ~m p then escaped := false;
-    incr i
-  done;
-  !escaped
-
-(* [escapes] on the point stored at slot [pos] of a packed point
-   buffer — the block-parallel scan kernel; agrees with [escapes] on
-   the copied-out point and allocates nothing. *)
-let escapes_at t buf ~pos =
-  let m = t.m in
-  if pos < 0 || ((pos + 1) * m) > Array.length buf then
-    invalid_arg "Flat.escapes_at: slot out of range";
-  let bounds = t.bounds and hi = t.hi in
-  let off = pos * m in
-  let i = ref 0 in
-  let escaped = ref true in
-  while !escaped && !i < t.k do
-    if covers_row_at bounds ~hi ~base:(!i * m) ~m buf ~off then
-      escaped := false;
     incr i
   done;
   !escaped

@@ -17,10 +17,9 @@
 
 type t
 (** A packed subscription set. A pack made by {!pack} or {!gather} is
-    immutable and safe to share read-only across domains. A {!view} of
-    a growable {!rows} buffer shares the buffer: it stays valid until
-    that buffer's next {!rows_insert} or {!rows_delete}, after which it
-    must not be read. *)
+    immutable. A {!view} of a growable {!rows} buffer shares the
+    buffer: it stays valid until that buffer's next {!rows_insert} or
+    {!rows_delete}, after which it must not be read. *)
 
 type box
 (** A packed tested subscription [s]: one [lo] and one [hi] array of
@@ -89,15 +88,6 @@ val random_point_into : rng:Prng.t -> box -> int array -> unit
     stream matches {!Rspc.random_point} exactly. Allocation-free.
     @raise Invalid_argument if [Array.length p <> box_arity box]. *)
 
-val random_points_into : rng:Prng.t -> box -> int array -> n:int -> unit
-(** [random_points_into ~rng box buf ~n] overwrites the first [n × m]
-    slots of [buf] with [n] uniform points of [box], point [t] at
-    offset [t × m]. The Prng stream consumed is bit-identical to [n]
-    successive {!random_point_into} calls — the block-parallel RSPC
-    runner depends on this to reproduce the sequential trial stream.
-    Allocation-free. @raise Invalid_argument if [n < 0] or [buf] is
-    shorter than [n × m]. *)
-
 val covers_row : t -> row:int -> int array -> bool
 (** [covers_row t ~row p] tests whether packed row [row] contains [p];
     agrees with [Subscription.covers_point] on the boxed original. *)
@@ -105,13 +95,6 @@ val covers_row : t -> row:int -> int array -> bool
 val escapes : t -> int array -> bool
 (** [escapes t p] is true when [p] lies in none of the packed rows —
     the flat equivalent of {!Rspc.escapes}, allocation-free. *)
-
-val escapes_at : t -> int array -> pos:int -> bool
-(** [escapes_at t buf ~pos] is {!escapes} on the point stored at slot
-    [pos] of a {!random_points_into} buffer (offset [pos × m]), without
-    copying it out. Allocation-free; safe to call concurrently from
-    several domains on a shared read-only buffer.
-    @raise Invalid_argument if the slot exceeds the buffer. *)
 
 val intersecting_rows : t -> box -> int array
 (** [intersecting_rows t box] lists (ascending) the rows whose

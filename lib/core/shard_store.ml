@@ -26,7 +26,6 @@ type t = {
   policy : Subscription_store.policy;
   arity : int;
   rng : Prng.t;
-  pool : Domain_pool.t option;
   shards : shard array; (* stripes 0..n-2, fallback at n-1 *)
   stripe_index : Interval_index.t; (* stripe regions, for fan-out *)
   stripe_lo : int array; (* stripe lower bounds, for routing *)
@@ -70,7 +69,7 @@ let make_regions ~nstripes ~domain0 =
   end
 
 let create ?(policy = Subscription_store.Group_policy Engine.default_config)
-    ?pool ?(shards = 8) ?(domain0 = Interval.full) ~arity ~seed () =
+    ?(shards = 8) ?(domain0 = Interval.full) ~arity ~seed () =
   if arity < 1 then invalid_arg "Shard_store.create: arity < 1";
   if shards < 1 then invalid_arg "Shard_store.create: shards < 1";
   let nstripes = shards - 1 in
@@ -102,7 +101,6 @@ let create ?(policy = Subscription_store.Group_policy Engine.default_config)
     policy;
     arity;
     rng = Prng.of_int seed;
-    pool;
     shards;
     stripe_index =
       Interval_index.build (List.init nstripes (fun i -> (i, regions.(i))));
@@ -287,7 +285,8 @@ let take_orphans t departed =
    retain after pruning, in the same order, which is what makes the
    sharded verdicts bit-identical (prune-first contract,
    {!Engine.check}). *)
-let gather_from t consult sbox =
+let gather t s =
+  let sbox = Flat.box_of_sub s in
   let cands = ref [] in
   List.iter
     (fun si ->
@@ -299,12 +298,10 @@ let gather_from t consult sbox =
           cands := (Active_set.id set r, Active_set.sub set r) :: !cands
         done
       end)
-    consult;
+    (consult_of_sub t s);
   let arr = Array.of_list !cands in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
   (Array.map fst arr, Array.map snd arr)
-
-let gather t s = gather_from t (consult_of_sub t s) (Flat.box_of_sub s)
 
 (* Engine rows index the gathered candidate array (the engine's
    internal prune keeps all of them — they all intersect s). The
@@ -322,10 +319,6 @@ let placement_of_report cids report =
       Subscription_store.Covered coverers
   | Engine.Not_covered _ -> Subscription_store.Active
 
-let classify_group t ?pool config s ~rng =
-  let cids, csubs = gather t s in
-  placement_of_report cids (Engine.check ~config ?pool ~rng s csubs)
-
 (* One {!Prng.split} per group classification, in arrival /
    reclassification order — the flat store's exact stream. *)
 let classify t s =
@@ -342,7 +335,8 @@ let classify t s =
   | Subscription_store.Group_policy config ->
       t.splits <- t.splits + 1;
       let rng = Prng.split t.rng in
-      classify_group t ?pool:t.pool config s ~rng
+      let cids, csubs = gather t s in
+      placement_of_report cids (Engine.check ~config ~rng s csubs)
 
 let install t s ~state ~expires_at =
   let id = t.next_id in
@@ -368,28 +362,9 @@ let insert t s ~expires_at =
 let add t s = insert t s ~expires_at:infinity
 let add_with_expiry t s ~expires_at = insert t s ~expires_at
 
-(* Batched insertion, defined as the sequential [add] loop. The
-   parallel path reserves one child generator per item up front (the
-   sequential stream), gathers each window item's candidates against
-   the current state, classifies the window concurrently on the pool
-   (each item sequential-engine on a {e copy} of its reserved child),
-   then applies serially while tracking which shards received an
-   active. An item's pre-computed placement is valid unless some
-   earlier arrival turned active in a shard the item consults: a
-   covered arrival never mutates the active set, and an active landing
-   in a non-consulted stripe is disjoint from the item on attribute 0,
-   so the engine's prune-first contract makes its report — hence the
-   placement and coverer ids — identical. Invalidated items
-   re-classify inline against the fully-updated store from a fresh
-   copy of the same child, exactly as the sequential loop would. *)
-(* Below this batch size the window machinery (per-window consult and
-   gather arrays, pool dispatch, dirty tracking) costs more than it
-   saves — BENCH_shard.json's scale phase showed pooled add_batch
-   *losing* to one domain on small windows. Such batches run the
-   sequential loop inline; the split pre-reservation makes the streams
-   identical either way, so the cutover is observationally invisible. *)
-let batch_inline_threshold = 32
-
+(* Batched insertion: the sequential [add] loop, after validating
+   every arity up front so a mid-batch failure cannot leave a prefix
+   installed. *)
 let add_batch t subs =
   let n = Array.length subs in
   Array.iter
@@ -397,70 +372,11 @@ let add_batch t subs =
       if Subscription.arity s <> t.arity then
         invalid_arg "Shard_store.add_batch: arity mismatch")
     subs;
-  let parallel =
-    match (t.policy, t.pool) with
-    | Subscription_store.Group_policy config, Some pool
-      when n > batch_inline_threshold && Domain_pool.size pool > 0 ->
-        Some (config, pool)
-    | _ -> None
-  in
-  match parallel with
-  | None ->
-      let results = Array.make n (0, Subscription_store.Active) in
-      for i = 0 to n - 1 do
-        results.(i) <- add t subs.(i)
-      done;
-      results
-  | Some (config, pool) ->
-      let results = Array.make n (0, Subscription_store.Active) in
-      (* Reserve per-item generators in arrival order — explicit loop:
-         the split order is the observable effect. *)
-      let rngs = Array.make n t.rng in
-      for i = 0 to n - 1 do
-        t.splits <- t.splits + 1;
-        rngs.(i) <- Prng.split t.rng
-      done;
-      let nshards = Array.length t.shards in
-      let window_cap = max 16 (8 * (Domain_pool.size pool + 1)) in
-      let base = ref 0 in
-      while !base < n do
-        let b = !base in
-        let window = min (n - b) window_cap in
-        let consults =
-          Array.init window (fun j -> consult_of_sub t subs.(b + j))
-        in
-        let cands =
-          Array.init window (fun j ->
-              gather_from t consults.(j) (Flat.box_of_sub subs.(b + j)))
-        in
-        let pre =
-          Domain_pool.map_slices pool ~n:window ~f:(fun j ->
-              let cids, csubs = cands.(j) in
-              let rng = Prng.copy rngs.(b + j) in
-              placement_of_report cids
-                (Engine.check ~config ~rng subs.(b + j) csubs))
-        in
-        let dirty = Array.make nshards false in
-        let any_dirty = ref false in
-        for j = 0 to window - 1 do
-          let idx = b + j in
-          let state =
-            if !any_dirty && List.exists (fun si -> dirty.(si)) consults.(j)
-            then
-              classify_group t ?pool:t.pool config subs.(idx)
-                ~rng:(Prng.copy rngs.(idx))
-            else pre.(j)
-          in
-          results.(idx) <- install t subs.(idx) ~state ~expires_at:infinity;
-          match state with
-          | Subscription_store.Active ->
-              dirty.(home_of t subs.(idx)) <- true;
-              any_dirty := true
-          | Subscription_store.Covered _ -> ()
-        done;
-        base := b + window
-      done;
-      results
+  let results = Array.make n (0, Subscription_store.Active) in
+  for i = 0 to n - 1 do
+    results.(i) <- add t subs.(i)
+  done;
+  results
 
 (* {2 Leases, removal, reclassification} *)
 
@@ -601,7 +517,7 @@ let check_publication t ~rng p =
         Engine.default_config
   in
   let _, csubs = gather t s in
-  Engine.check ~config ?pool:t.pool ~rng s csubs
+  Engine.check ~config ~rng s csubs
 
 let stats t =
   {

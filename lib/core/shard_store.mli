@@ -39,12 +39,7 @@
     seed, placements, coverer ids, match sets and counters (except the
     scan counters, which shrink — that is the point) are equal to the
     flat store's, whether items arrive through {!add} or
-    {!add_batch}, with or without a pool. {!add_batch} pre-splits one
-    child generator per item in arrival order, classifies windows of
-    items concurrently on the pool, and re-classifies an item serially
-    only when an earlier arrival turned active in a shard the item
-    consults — shard routing bounds the invalidation that forced the
-    flat store's retired batch path to discard whole windows.
+    {!add_batch}.
 
     The sharded store does not journal; pair it with the flat store's
     durability hooks when persistence is needed. *)
@@ -57,7 +52,6 @@ type t
 
 val create :
   ?policy:Subscription_store.policy ->
-  ?pool:Domain_pool.t ->
   ?shards:int ->
   ?domain0:Interval.t ->
   arity:int ->
@@ -73,9 +67,6 @@ val create :
     attribute domain, or nearly all subscriptions land in one stripe.
     [?policy] defaults to [Group_policy Engine.default_config]; a
     group config is normalised with [use_pruning = true] (see above).
-    [?pool] parallelises the RSPC stage of {!add} and the item windows
-    of {!add_batch}; results are bit-identical with or without it.
-    The store only borrows the pool.
     @raise Invalid_argument if [arity < 1] or [shards < 1]. *)
 
 val policy : t -> Subscription_store.policy
@@ -108,26 +99,10 @@ val add : t -> Subscription.t -> id * Subscription_store.placement
 (** As {!Subscription_store.add}, confined to the consulted shards.
     @raise Invalid_argument on an arity mismatch. *)
 
-val batch_inline_threshold : int
-(** Batches of at most this many items run the sequential {!add} loop
-    even when a pool is available: window setup and pool dispatch cost
-    more than they save on small batches (the worker-scaling
-    regression in BENCH_shard.json's scale phase). The cutover is
-    observationally invisible — pre-reserved splits make both paths
-    produce identical streams and states. *)
-
 val add_batch :
   t -> Subscription.t array -> (id * Subscription_store.placement) array
-(** [add_batch t subs] inserts the whole batch, {e defined} as [subs]
-    fed one by one through {!add} in index order — identical ids,
-    placements, coverer lists, counters and final state. With a pool
-    (group policy) and more than {!batch_inline_threshold} items,
-    windows of items are classified concurrently, one pre-split child
-    generator per item in arrival order; an item is re-classified
-    serially (from a fresh copy of its reserved child) only when an
-    earlier item of its window turned active in a shard it consults,
-    so a batch loses at most the items whose candidate sets an arrival
-    actually changed.
+(** [add_batch t subs] inserts the whole batch: [subs] fed one by one
+    through {!add} in index order.
     @raise Invalid_argument if any item's arity mismatches (checked up
     front, before any insertion). *)
 

@@ -48,9 +48,6 @@ type t = {
   policy : policy;
   arity : int;
   rng : Prng.t;
-  pool : Domain_pool.t option;
-      (* Shared worker pool for the group-policy engine calls; the
-         store only borrows it (never shuts it down). *)
   entries : (id, entry) Hashtbl.t;
   (* Algorithm 5's multi-level optimization: active coverer ->
      covered subscriptions recorded under it. A publication only tests
@@ -84,14 +81,12 @@ type t = {
   mutable covered_scans : int;
 }
 
-let create ?(policy = Group_policy Engine.default_config) ?pool ~arity ~seed
-    () =
+let create ?(policy = Group_policy Engine.default_config) ~arity ~seed () =
   if arity < 1 then invalid_arg "Subscription_store.create: arity < 1";
   {
     policy;
     arity;
     rng = Prng.of_int seed;
-    pool;
     entries = Hashtbl.create 64;
     children = Hashtbl.create 64;
     order = Array.make 64 0;
@@ -267,7 +262,7 @@ let classify t s =
       t.splits <- t.splits + 1;
       let rng = Prng.split t.rng in
       placement_of_report ~s ids subs
-        (Engine.check ~config ?pool:t.pool ~packed ~rng s subs)
+        (Engine.check ~config ~packed ~rng s subs)
 
 (* Bookkeeping half of an insertion: record the entry under the next
    id with its already-computed placement. Shared by live insertion
@@ -300,13 +295,7 @@ let add_with_expiry t s ~expires_at = insert t s ~expires_at
 
 (* Batched insertion: the sequential loop [Array.map (add t) subs] in
    index order, after validating every arity up front so a mid-batch
-   failure cannot leave a prefix installed. The earlier item-parallel
-   snapshot-round path was retired: its rounds discarded every
-   pre-classification after the first [Active] arrival, which made it
-   an outright regression on active-heavy workloads (0.63x in
-   BENCH_engine.json). Item-parallel batching lives in {!Shard_store},
-   whose per-shard routing bounds invalidation to the shards an
-   arrival actually dirtied. *)
+   failure cannot leave a prefix installed. *)
 let add_batch t subs =
   let n = Array.length subs in
   Array.iter
@@ -456,7 +445,7 @@ let check_publication t ~rng p =
     | Group_policy config -> config
     | No_coverage | Pairwise_policy -> Engine.default_config
   in
-  Engine.check_publication ~config ?pool:t.pool ~packed ~rng p subs
+  Engine.check_publication ~config ~packed ~rng p subs
 
 let[@problint.allow
      determinism
@@ -623,8 +612,8 @@ let image t =
 
 let empty_image = { i_next_id = 0; i_splits = 0; i_entries = [] }
 
-let restore ?policy ?pool ~arity ~seed img =
-  let t = create ?policy ?pool ~arity ~seed () in
+let restore ?policy ~arity ~seed img =
+  let t = create ?policy ~arity ~seed () in
   for _ = 1 to img.i_splits do
     ignore (Prng.split t.rng)
   done;
@@ -647,8 +636,8 @@ let restore ?policy ?pool ~arity ~seed img =
   t.next_id <- img.i_next_id;
   t
 
-let recover ?policy ?pool ~arity ~seed ?(image = empty_image) ops =
-  let t = restore ?policy ?pool ~arity ~seed image in
+let recover ?policy ~arity ~seed ?(image = empty_image) ops =
+  let t = restore ?policy ~arity ~seed image in
   List.iter (apply_op t) ops;
   t
 

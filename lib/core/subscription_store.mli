@@ -36,18 +36,12 @@ type placement =
 type t
 (** A mutable store. *)
 
-val create :
-  ?policy:policy -> ?pool:Domain_pool.t -> arity:int -> seed:int -> unit -> t
+val create : ?policy:policy -> arity:int -> seed:int -> unit -> t
 (** [create ~arity ~seed ()] builds an empty store for subscriptions
     with [arity] attributes. [seed] drives the engine's RSPC draws
     (group policy only): each group classification hands the engine a
     fresh {!Prng.split} of the store generator, so a given seed fixes
-    every verdict regardless of how classifications are executed.
-    [?pool] lends the store a {!Domain_pool} for the group-policy
-    engine calls — {!add} parallelises the RSPC stage; the results are
-    bit-identical to the pool-less store with the same seed. The store
-    only borrows the pool: shutting it down remains the caller's job.
-    Default policy: [Group_policy Engine.default_config]. *)
+    every verdict. Default policy: [Group_policy Engine.default_config]. *)
 
 val policy : t -> policy
 val arity : t -> int
@@ -64,11 +58,7 @@ val add : t -> Subscription.t -> id * placement
 val add_batch : t -> Subscription.t array -> (id * placement) array
 (** [add_batch t subs] inserts the whole batch and returns each item's
     [(id, placement)]: [subs] fed one by one through {!add} in index
-    order. (The earlier item-parallel snapshot-round path was retired
-    as a measured regression — its rounds discarded every
-    pre-classification after the first [Active] arrival. Item-parallel
-    batching lives in {!Shard_store.add_batch}, where shard routing
-    bounds the invalidation.)
+    order.
     @raise Invalid_argument if any item's arity mismatches (checked
     up front, before any insertion). *)
 
@@ -243,8 +233,7 @@ val empty_image : image
     splits, next id 0. *)
 
 val recover :
-  ?policy:policy -> ?pool:Domain_pool.t -> arity:int -> seed:int ->
-  ?image:image -> op list -> t
+  ?policy:policy -> arity:int -> seed:int -> ?image:image -> op list -> t
 (** [recover ~arity ~seed ops] rebuilds a store from a snapshot image
     (default: empty) plus a journaled op suffix. [policy], [arity] and
     [seed] must be those of the original store; the result then

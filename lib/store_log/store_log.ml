@@ -11,8 +11,8 @@ type t = {
 let attach_journal t store =
   Store.set_journal store (Some (fun op -> Wal.append t.wal (Codec.Op op)))
 
-let fresh ?policy ?pool ~device ~arity ~seed () =
-  let store = Store.create ?policy ?pool ~arity ~seed () in
+let fresh ?policy ~device ~arity ~seed () =
+  let store = Store.create ?policy ~arity ~seed () in
   let meta =
     { Codec.m_arity = arity; m_seed = seed; m_policy = Store.policy store }
   in
@@ -50,7 +50,7 @@ let read_snapshot (device : Device.t) =
           | Ok _ | Error _ -> None)
       | _ -> None)
 
-let recover ?pool ~device () =
+let recover ~device () =
   let wal_bytes = device.Device.read_wal () in
   let scanned = Wal.scan wal_bytes in
   let repaired = scanned.Wal.stop <> Wal.Clean in
@@ -130,7 +130,7 @@ let recover ?pool ~device () =
       | None -> (
           let ops = List.rev !ops in
           match
-            Store.recover ~policy:meta.Codec.m_policy ?pool
+            Store.recover ~policy:meta.Codec.m_policy
               ~arity:meta.Codec.m_arity ~seed:meta.Codec.m_seed ~image ops
           with
           | exception Invalid_argument msg ->

@@ -20,7 +20,6 @@ type t
 
 val fresh :
   ?policy:Store.policy ->
-  ?pool:Probsub_core.Domain_pool.t ->
   device:Device.t ->
   arity:int ->
   seed:int ->
@@ -45,11 +44,7 @@ type recovered = {
           valid prefix. *)
 }
 
-val recover :
-  ?pool:Probsub_core.Domain_pool.t ->
-  device:Device.t ->
-  unit ->
-  (recovered, string) result
+val recover : device:Device.t -> unit -> (recovered, string) result
 (** Rebuild from the device. [Error] only when no recoverable state
     exists at all (no valid snapshot and no genesis record) or the
     surviving records are not a journal this library wrote; damaged

@@ -173,92 +173,6 @@ let test_check_publication () =
   let r3 = Engine.check_publication ~rng:(rng ()) p subs in
   Alcotest.(check bool) "point inside" true (Engine.is_covered r3.Engine.verdict)
 
-(* ------------------------------------------------------------------ *)
-(* Pool transparency (PR 4): a domain pool hung on the engine is a
-   pure performance knob — the whole report (verdict, witness,
-   iterations, diagnostics) must equal the sequential engine's,
-   whatever the pool size. *)
-
-let pool_cfg = Engine.config ~delta:1e-6 ~max_iterations:4096 ()
-
-(* Instances whose d_used reaches the cap, so the pooled RSPC path
-   (rather than the small-budget sequential fallback) actually runs: a
-   staircase of 400 overlapping rows chained on attribute 0, with two
-   middle rows clipped on attribute 1. The clipped rows' exclusive
-   strip leaves a small two-dimensional hole no fast decision can see,
-   so the "noncover" query must find a point witness mid-stream, while
-   the "covered" query (above the clip) exhausts its whole budget. *)
-let staircase_rows =
-  Array.init 400 (fun i ->
-      let lo1 = if i = 200 || i = 201 then 2000 else 0 in
-      sub [ (i * 22, (i * 22) + 44); (lo1, 9999) ])
-
-let pooled_cases =
-  [
-    ("noncover", sub [ (100, 8800); (0, 9999) ], staircase_rows);
-    ("covered", sub [ (100, 8800); (2500, 9999) ], staircase_rows);
-  ]
-
-let test_pooled_check_identical () =
-  List.iter
-    (fun workers ->
-      Domain_pool.with_pool ~workers (fun pool ->
-          List.iter
-            (fun (name, s, subs) ->
-              for seed = 1 to 2 do
-                let a =
-                  Engine.check ~config:pool_cfg ~pool ~rng:(Prng.of_int seed) s
-                    subs
-                in
-                let b =
-                  Engine.check ~config:pool_cfg ~rng:(Prng.of_int seed) s subs
-                in
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s workers=%d seed=%d: parallel budget" name
-                     workers seed)
-                  true
-                  (a.Engine.d_used >= Rspc_parallel.min_parallel_budget);
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s workers=%d seed=%d: full report equal"
-                     name workers seed)
-                  true (a = b)
-              done)
-            pooled_cases))
-    [ 0; 1; 3; 7 ]
-
-let test_check_batch_matches_loop () =
-  let subs = [| sub [ (0, 5000) ]; sub [ (4990, 9989) ] |] in
-  let items =
-    Array.init 10 (fun i ->
-        if i mod 3 = 0 then sub [ (9990 + (i mod 9), 9999) ] (* no candidate *)
-        else if i mod 3 = 1 then sub [ (i * 11, 4000 + (i * 13)) ] (* covered *)
-        else sub [ (0, 9999) ] (* witness *))
-  in
-  (* The contract: item i draws the i-th split of the batch rng, so
-     the batch equals the sequential split-per-item loop. *)
-  let reference =
-    let master = Prng.of_int 100 in
-    let acc = ref [] in
-    for i = 0 to 9 do
-      acc :=
-        Engine.check ~config:pool_cfg ~rng:(Prng.split master) items.(i) subs
-        :: !acc
-    done;
-    Array.of_list (List.rev !acc)
-  in
-  Domain_pool.with_pool ~workers:3 (fun pool ->
-      let batched =
-        Engine.check_batch ~config:pool_cfg ~pool ~rng:(Prng.of_int 100) items
-          subs
-      in
-      Alcotest.(check bool) "pooled batch = sequential loop" true
-        (batched = reference));
-  let unpooled =
-    Engine.check_batch ~config:pool_cfg ~rng:(Prng.of_int 100) items subs
-  in
-  Alcotest.(check bool) "pool-less batch = sequential loop" true
-    (unpooled = reference)
-
 let test_pruning_off_reports_full_k () =
   (* With pruning off the identity mapping is symbolic: k_pruned must
      still report the full candidate count, and the verdict must agree
@@ -298,10 +212,6 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "box publications" `Quick test_check_publication;
-    Alcotest.test_case "pooled check identical" `Slow
-      test_pooled_check_identical;
-    Alcotest.test_case "check_batch = loop" `Quick
-      test_check_batch_matches_loop;
     Alcotest.test_case "pruning off reports full k" `Quick
       test_pruning_off_reports_full_k;
   ]

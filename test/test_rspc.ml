@@ -51,7 +51,13 @@ let test_zero_budget () =
   Alcotest.(check int) "zero iterations" 0 run.Rspc.iterations;
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Rspc.run: negative trial budget") (fun () ->
-      ignore (Rspc.run ~rng ~d:(-1) ~s [||]))
+      ignore (Rspc.run ~rng ~d:(-1) ~s [||]));
+  Alcotest.check_raises "packed arity mismatch rejected"
+    (Invalid_argument "Rspc.run: arity mismatch") (fun () ->
+      ignore
+        (Rspc.run_packed ~rng ~d:1
+           ~sbox:(Flat.box_of_sub (sub [ (0, 9); (0, 9) ]))
+           (Flat.pack ~m:1 [| s |])))
 
 let test_early_exit () =
   (* With nothing covering s, the very first draw is a witness. *)

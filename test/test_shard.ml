@@ -264,9 +264,9 @@ let test_striping_spreads_and_confines () =
     (Printf.sprintf "consulted fewer actives than a full scan (%d)" scans)
     true (scans < 4)
 
-(* Pooled add_batch is defined as the sequential loop: same results
-   array, same splits, same final state. *)
-let test_pooled_batch_deterministic () =
+(* add_batch is defined as the sequential loop: same results array,
+   same splits, same final state. *)
+let test_add_batch_equals_add_loop () =
   let subs =
     let g = Prng.of_int 42 in
     Array.init 40 (fun _ ->
@@ -277,23 +277,20 @@ let test_pooled_batch_deterministic () =
   in
   let seq = Shard_store.create ~shards:4 ~domain0 ~arity:2 ~seed:13 () in
   let rs = Array.map (fun s -> Shard_store.add seq s) subs in
-  Domain_pool.with_pool ~workers:2 (fun pool ->
-      let par =
-        Shard_store.create ~pool ~shards:4 ~domain0 ~arity:2 ~seed:13 ()
-      in
-      let rp = Shard_store.add_batch par subs in
-      Alcotest.(check bool) "identical results" true (rs = rp);
-      Alcotest.(check bool)
-        "identical actives" true
-        (Shard_store.active seq = Shard_store.active par);
-      Alcotest.(check bool)
-        "identical covered" true
-        (Shard_store.covered seq = Shard_store.covered par);
-      Alcotest.(check int)
-        "identical split streams"
-        (Shard_store.splits_consumed seq)
-        (Shard_store.splits_consumed par);
-      Alcotest.(check bool) "invariants hold" true (Shard_store.validate par))
+  let bat = Shard_store.create ~shards:4 ~domain0 ~arity:2 ~seed:13 () in
+  let rb = Shard_store.add_batch bat subs in
+  Alcotest.(check bool) "identical results" true (rs = rb);
+  Alcotest.(check bool)
+    "identical actives" true
+    (Shard_store.active seq = Shard_store.active bat);
+  Alcotest.(check bool)
+    "identical covered" true
+    (Shard_store.covered seq = Shard_store.covered bat);
+  Alcotest.(check int)
+    "identical split streams"
+    (Shard_store.splits_consumed seq)
+    (Shard_store.splits_consumed bat);
+  Alcotest.(check bool) "invariants hold" true (Shard_store.validate bat)
 
 let suite =
   [
@@ -301,7 +298,7 @@ let suite =
       test_fallback_covers_stripes;
     Alcotest.test_case "striping spreads and confines" `Quick
       test_striping_spreads_and_confines;
-    Alcotest.test_case "pooled add_batch deterministic" `Quick
-      test_pooled_batch_deterministic;
+    Alcotest.test_case "add_batch = add loop" `Quick
+      test_add_batch_equals_add_loop;
     QCheck_alcotest.to_alcotest prop_mirror;
   ]

@@ -200,10 +200,9 @@ let test_arity_guard () =
       ignore (Subscription_store.add t (sub [ (0, 1) ])))
 
 (* ------------------------------------------------------------------ *)
-(* Batched insertion (PR 4): add_batch is defined as the sequential
-   add loop; the pool only changes how fast the answer arrives. Every
-   mode below must produce identical (id, placement) results, active
-   and covered sets, stats and a valid structure. *)
+(* Batched insertion: add_batch is defined as the sequential add loop.
+   Both modes below must produce identical (id, placement) results,
+   active and covered sets, stats and a valid structure. *)
 
 let batch_base = [| sub [ (0, 49); (0, 99) ]; sub [ (50, 99); (0, 99) ] |]
 
@@ -227,10 +226,10 @@ type store_snapshot = {
   valid : bool;
 }
 
-let run_batch_mode ~mode ?pool () =
+let run_batch_mode ~mode () =
   let t =
     Subscription_store.create
-      ~policy:(Subscription_store.Group_policy Engine.default_config) ?pool
+      ~policy:(Subscription_store.Group_policy Engine.default_config)
       ~arity:2 ~seed:77 ()
   in
   Array.iter (fun s -> ignore (Subscription_store.add t s)) batch_base;
@@ -264,64 +263,57 @@ let test_add_batch_equals_add_loop () =
   (* Some arrivals of each kind actually occurred. *)
   Alcotest.(check bool) "mixed stream" true
     (List.length reference.active > 2 && List.length reference.covered > 2);
-  let plain_batch = run_batch_mode ~mode:`Batch () in
-  check_snapshot_equal "pool-less batch vs loop" plain_batch reference;
-  Domain_pool.with_pool ~workers:3 (fun pool ->
-      let pooled_loop = run_batch_mode ~mode:`Loop ~pool () in
-      check_snapshot_equal "pooled adds vs plain adds" pooled_loop reference;
-      let pooled_batch = run_batch_mode ~mode:`Batch ~pool () in
-      check_snapshot_equal "pooled batch vs loop" pooled_batch reference)
+  let batch = run_batch_mode ~mode:`Batch () in
+  check_snapshot_equal "batch vs loop" batch reference
 
 let test_add_batch_edge_cases () =
-  Domain_pool.with_pool ~workers:3 (fun pool ->
-      let t =
-        Subscription_store.create
-          ~policy:(Subscription_store.Group_policy Engine.default_config)
-          ~pool ~arity:2 ~seed:5 ()
-      in
-      (* Empty batch: no effect. *)
-      Alcotest.(check int) "empty batch" 0
-        (Array.length (Subscription_store.add_batch t [||]));
-      Alcotest.(check int) "store untouched" 0 (Subscription_store.size t);
-      (* Empty store, all-active batch: every item restarts the round. *)
-      let disjoint =
-        Array.init 6 (fun i -> sub [ (100 * i, (100 * i) + 10); (0, 9) ])
-      in
-      let res = Subscription_store.add_batch t disjoint in
-      Array.iteri
-        (fun i (_, p) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "item %d active" i)
-            true
-            (p = Subscription_store.Active))
-        res;
-      Alcotest.(check int) "all active" 6 (Subscription_store.active_count t);
-      Alcotest.(check bool) "valid" true (Subscription_store.validate t);
-      (* Arity is checked up front: nothing is inserted on failure. *)
-      Alcotest.check_raises "arity checked before inserting"
-        (Invalid_argument "Subscription_store.add_batch: arity mismatch")
-        (fun () ->
-          ignore
-            (Subscription_store.add_batch t
-               [| sub [ (0, 1); (0, 1) ]; sub [ (0, 1) ] |]));
-      Alcotest.(check int) "batch rejected atomically" 6
-        (Subscription_store.size t);
-      (* Non-group policies take the sequential path under a pool. *)
-      let pw =
-        Subscription_store.create ~policy:Subscription_store.Pairwise_policy
-          ~pool ~arity:2 ~seed:5 ()
-      in
-      let r =
-        Subscription_store.add_batch pw
-          [| sub [ (0, 9); (0, 9) ]; sub [ (2, 3); (2, 3) ] |]
-      in
-      (match r with
-      | [| (id0, Subscription_store.Active); (_, Subscription_store.Covered c) |]
-        ->
-          Alcotest.(check (list int)) "pairwise coverer" [ id0 ] c
-      | _ -> Alcotest.fail "pairwise batch placements");
-      Alcotest.(check bool) "pairwise store valid" true
-        (Subscription_store.validate pw))
+  let t =
+    Subscription_store.create
+      ~policy:(Subscription_store.Group_policy Engine.default_config)
+      ~arity:2 ~seed:5 ()
+  in
+  (* Empty batch: no effect. *)
+  Alcotest.(check int) "empty batch" 0
+    (Array.length (Subscription_store.add_batch t [||]));
+  Alcotest.(check int) "store untouched" 0 (Subscription_store.size t);
+  (* Empty store, all-active batch. *)
+  let disjoint =
+    Array.init 6 (fun i -> sub [ (100 * i, (100 * i) + 10); (0, 9) ])
+  in
+  let res = Subscription_store.add_batch t disjoint in
+  Array.iteri
+    (fun i (_, p) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "item %d active" i)
+        true
+        (p = Subscription_store.Active))
+    res;
+  Alcotest.(check int) "all active" 6 (Subscription_store.active_count t);
+  Alcotest.(check bool) "valid" true (Subscription_store.validate t);
+  (* Arity is checked up front: nothing is inserted on failure. *)
+  Alcotest.check_raises "arity checked before inserting"
+    (Invalid_argument "Subscription_store.add_batch: arity mismatch")
+    (fun () ->
+      ignore
+        (Subscription_store.add_batch t
+           [| sub [ (0, 1); (0, 1) ]; sub [ (0, 1) ] |]));
+  Alcotest.(check int) "batch rejected atomically" 6
+    (Subscription_store.size t);
+  (* Pairwise policy. *)
+  let pw =
+    Subscription_store.create ~policy:Subscription_store.Pairwise_policy
+      ~arity:2 ~seed:5 ()
+  in
+  let r =
+    Subscription_store.add_batch pw
+      [| sub [ (0, 9); (0, 9) ]; sub [ (2, 3); (2, 3) ] |]
+  in
+  (match r with
+  | [| (id0, Subscription_store.Active); (_, Subscription_store.Covered c) |] ->
+      Alcotest.(check (list int)) "pairwise coverer" [ id0 ] c
+  | _ -> Alcotest.fail "pairwise batch placements");
+  Alcotest.(check bool) "pairwise store valid" true
+    (Subscription_store.validate pw)
 
 let suite =
   [
