@@ -1,8 +1,6 @@
-(* The failover suite lives in its own executable for the same reason
-   serve_chaos does: the chaos scenario forks broker processes, and
-   OCaml 5 forbids [Unix.fork] in any process that has ever spawned a
-   domain. This process creates no domains, so fork-without-exec stays
-   legal. *)
+(* The failover suite runs in its own executable for the reasons the
+   serve_chaos suite does (see test_serve_main.ml): its printed names
+   stay fixed, and its chaos scenario forks broker processes. *)
 (* The in-process server tests drive Broker_server.step directly
    (without Broker_server.run, which installs this handler itself), so
    writes to freshly dead sockets must surface as EPIPE, not kill the

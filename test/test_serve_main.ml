@@ -1,6 +1,7 @@
-(* The serve_chaos suite lives in its own executable: the chaos
-   harness forks broker processes, and OCaml 5 forbids [Unix.fork] in
-   any process that has ever spawned a domain — which the main test
-   binary does (domain-pool, parallel-RSPC and shard suites). This
-   process creates no domains, so fork-without-exec stays legal. *)
+(* The serve_chaos suite runs in its own executable. Alcotest shortens a
+   long test name to fit beside the widest suite name in its run, so
+   registering this suite in test_main would change the printed names
+   its results are tracked by. The harness forks broker processes, so
+   nothing in this process may spawn a domain: OCaml 5 forbids
+   [Unix.fork] after one. *)
 let () = Alcotest.run "probsub-serve" [ ("serve_chaos", Test_serve_chaos.suite) ]
