@@ -73,8 +73,7 @@ let routing_table_size t = Subscription_store.size t.routing
 
 let match_counters t =
   let st = Subscription_store.stats t.routing in
-  ( st.Subscription_store.active_scans + st.Subscription_store.covered_scans,
-    st.Subscription_store.index_hits )
+  (st.Subscription_store.covered_scans, st.Subscription_store.index_hits)
 
 let repl_counters t =
   (t.c_failovers, t.c_repl_frames, t.c_repl_lag, t.c_reconnects)

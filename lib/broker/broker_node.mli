@@ -145,10 +145,11 @@ val routing_table_size : t -> int
 
 val match_counters : t -> int * int
 (** [(scans, index_hits)] accumulated by the routing store since
-    creation: one-by-one [Publication.matches] tests (covered-set
-    descent plus any non-indexed active scans) and counting-index hits
-    processed on the indexed match path. Monotone; diff around a
-    [handle] call to attribute matching work to one message. *)
+    creation: one-by-one [Publication.matches] tests of covered
+    subscriptions during the multi-level descent, and counting-index
+    hits processed on the indexed active-set path. Monotone; diff
+    around a [handle] call to attribute matching work to one
+    message. *)
 
 val repl_counters : t -> int * int * int * int
 (** [(failovers, repl_frames_shipped, repl_lag_lsns,

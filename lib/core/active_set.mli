@@ -1,14 +1,14 @@
-(** The active (uncovered) set of a subscription store, kept ready for
-    both questions the store asks of it.
+(** The active (uncovered) set of one subscription-store shard, kept
+    ready for both questions the store asks of it.
 
     One value holds, row-aligned and in ascending id order, the active
     ids, their boxed subscriptions and their packed {!Flat} bounds,
     plus the {!Counting_matcher} over the same members. Every
     membership change updates all four in place — a fresh id appends,
     a re-activated (§5 promoted) id is inserted at its sorted position,
-    a departing id is deleted — so admission hands the engine a
-    copy-free {!packed} view and matching queries a live index, and
-    nothing is ever rebuilt from the store's entry table. *)
+    a departing id is deleted — so admission scans a copy-free
+    {!packed} view for candidates and matching queries a live index,
+    and nothing is ever rebuilt from the store's entry table. *)
 
 type t
 
@@ -53,7 +53,7 @@ val index_hits : t -> int
 (** {!Counting_matcher.inspections} of the members' index. *)
 
 val consistent : t -> find:(int -> Subscription.t option) -> bool
-(** Invariant check, for the stores' [validate]: ids strictly
+(** Invariant check, for the store's [validate]: ids strictly
     ascending; every member [id] has [find id = Some s] with [s]
     physically the member's subscription; the packed bounds equal
     [Flat.pack] of the members; the matcher indexes exactly the

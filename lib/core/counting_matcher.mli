@@ -52,13 +52,13 @@ val match_publication : t -> Publication.t -> int list
 val iter_matches : t -> Publication.t -> f:(int -> unit) -> unit
 (** [iter_matches t pub ~f] calls [f id] once per matching
     subscription, in unspecified order, without building the result
-    list — the stores' hot entry point. Not reentrant: the callback
+    list — the store's hot entry point. Not reentrant: the callback
     must not call back into [t]. *)
 
 val inspections : t -> int
 (** Monotone count of per-attribute index hits processed by match
     calls since creation — the matcher's unit of work, the counting
-    analogue of the stores' scan counters. *)
+    analogue of the store's scan counters. *)
 
 val rebuild : t -> unit
 (** Force-compact every per-attribute index now (e.g. before a latency

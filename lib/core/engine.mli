@@ -36,7 +36,8 @@ type config = {
           the whole report is a function of (s, the ordered
           intersecting candidate subset, rng): callers that pre-confine
           the candidate set to the subscriptions intersecting [s] — the
-          sharded store — obtain bit-identical reports. Corollary 1
+          subscription store's shard gather — obtain bit-identical
+          reports. Corollary 1
           verdicts are unaffected by pruning either way (a pairwise
           coverer always intersects [s]); Corollary 3 can only {e gain}
           witnesses from pruning, since removing rows preserves its

@@ -11,6 +11,7 @@ type entry = {
   sub : Subscription.t;
   mutable state : placement;
   mutable expires_at : float; (* infinity = no lease *)
+  home : int; (* static: the stripe map never changes *)
 }
 
 type stats = {
@@ -18,7 +19,6 @@ type stats = {
   dropped_covered : int;
   removed : int;
   promoted : int;
-  active_scans : int;
   covered_scans : int;
   index_hits : int;
 }
@@ -44,10 +44,23 @@ type op =
       reclassified : (id * placement) list;
     }
 
+(* A consulted shard answers a covering check from its packed view
+   and a publication from its counting index; each only ever sees the
+   actives homed in its own region. *)
+type shard = { region : Interval.t; set : Active_set.t }
+
 type t = {
   policy : policy;
   arity : int;
   rng : Prng.t;
+  (* Only the active set is partitioned: stripes 0..n-2, fallback at
+     n-1 (a one-shard store is the fallback alone). Coverer links may
+     cross shards — a full-range fallback subscription can cover
+     striped ones — so the entry table and children index stay
+     global. *)
+  shards : shard array;
+  stripe_index : Interval_index.t; (* stripe regions, for fan-out *)
+  stripe_lo : int array; (* stripe lower bounds, for routing *)
   entries : (id, entry) Hashtbl.t;
   (* Algorithm 5's multi-level optimization: active coverer ->
      covered subscriptions recorded under it. A publication only tests
@@ -60,10 +73,6 @@ type t = {
   mutable order : id array;
   mutable order_n : int;
   mutable order_dead : int;
-  (* The active entries: ids, subscriptions, packed bounds and
-     counting index, maintained in place by [place]/[unplace] — the
-     only code that changes an entry's placement. *)
-  active : Active_set.t;
   mutable next_id : id;
   (* Prng.split draws consumed by classifications so far. Recovery
      fast-forwards a fresh seed-rng by this count, so a recovered
@@ -77,22 +86,63 @@ type t = {
   mutable dropped_covered : int;
   mutable removed_count : int;
   mutable promoted_count : int;
-  mutable active_scans : int;
   mutable covered_scans : int;
 }
 
-let create ?(policy = Group_policy Engine.default_config) ~arity ~seed () =
+(* Stripe regions: [domain0] cut into [nstripes] near-equal pieces,
+   the outer pieces extended to the unbounded sentinels so every
+   bounded first-attribute interval falls inside some stripe's span.
+   Subscriptions whose interval crosses a cut (or lies outside the
+   extended span entirely) route to the fallback. *)
+let make_regions ~nstripes ~domain0 =
+  if nstripes = 0 then [||]
+  else begin
+    let dlo = Interval.lo domain0 and dhi = Interval.hi domain0 in
+    let span = dhi - dlo + 1 in
+    let base = span / nstripes and rem = span mod nstripes in
+    let regions = Array.make nstripes Interval.full in
+    let cur = ref dlo in
+    for i = 0 to nstripes - 1 do
+      let w = base + if i < rem then 1 else 0 in
+      let lo = !cur and hi = !cur + w - 1 in
+      cur := hi + 1;
+      let lo = if i = 0 then min lo Interval.unbounded_lo else lo in
+      let hi = if i = nstripes - 1 then max hi Interval.unbounded_hi else hi in
+      regions.(i) <- Interval.make ~lo ~hi
+    done;
+    regions
+  end
+
+let create ?(policy = Group_policy Engine.default_config) ?(shards = 1)
+    ?(domain0 = Interval.full) ~arity ~seed () =
   if arity < 1 then invalid_arg "Subscription_store.create: arity < 1";
+  if shards < 1 then invalid_arg "Subscription_store.create: shards < 1";
+  let nstripes = shards - 1 in
+  if nstripes > 0 then begin
+    let span = Interval.hi domain0 - Interval.lo domain0 + 1 in
+    if span <= 0 then
+      invalid_arg "Subscription_store.create: domain0 span overflows";
+    if span < nstripes then
+      invalid_arg
+        "Subscription_store.create: domain0 narrower than the stripe count"
+  end;
+  let regions = make_regions ~nstripes ~domain0 in
+  let mk_shard region = { region; set = Active_set.create ~arity } in
   {
     policy;
     arity;
     rng = Prng.of_int seed;
+    shards =
+      Array.init shards (fun i ->
+          if i < nstripes then mk_shard regions.(i) else mk_shard Interval.full);
+    stripe_index =
+      Interval_index.build (List.init nstripes (fun i -> (i, regions.(i))));
+    stripe_lo = Array.map Interval.lo regions;
     entries = Hashtbl.create 64;
     children = Hashtbl.create 64;
     order = Array.make 64 0;
     order_n = 0;
     order_dead = 0;
-    active = Active_set.create ~arity;
     next_id = 0;
     splits = 0;
     journal = None;
@@ -100,7 +150,6 @@ let create ?(policy = Group_policy Engine.default_config) ~arity ~seed () =
     dropped_covered = 0;
     removed_count = 0;
     promoted_count = 0;
-    active_scans = 0;
     covered_scans = 0;
   }
 
@@ -110,8 +159,52 @@ let size t = Hashtbl.length t.entries
 let set_journal t j = t.journal <- j
 let splits_consumed t = t.splits
 
+let active_count t =
+  Array.fold_left (fun n sh -> n + Active_set.length sh.set) 0 t.shards
+
+let covered_count t = size t - active_count t
+let fallback_shard t = Array.length t.shards - 1
+let shard_actives t = Array.map (fun sh -> Active_set.length sh.set) t.shards
+
 let emit t op =
   match t.journal with None -> () | Some f -> f op
+
+(* {2 Routing} *)
+
+(* The unique stripe whose region fully contains the subscription's
+   first-attribute interval; the fallback when it spans a cut or lies
+   below the extended span. Regions are contiguous, so the candidate
+   stripe is the last one starting at or below the interval. *)
+let home_of t s =
+  let nstripes = Array.length t.shards - 1 in
+  if nstripes = 0 then 0
+  else begin
+    let iv = Subscription.range s 0 in
+    let vlo = Interval.lo iv in
+    if vlo < t.stripe_lo.(0) then nstripes
+    else begin
+      (* Largest i with stripe_lo.(i) <= vlo. *)
+      let lo = ref 0 and hi = ref (nstripes - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if t.stripe_lo.(mid) <= vlo then lo := mid else hi := mid - 1
+      done;
+      if Interval.subset iv t.shards.(!lo).region then !lo else nstripes
+    end
+  end
+
+(* Call [f] on every shard a box with first-attribute interval [q0 x]
+   can overlap: the stripes sharing a point with it, then the
+   fallback. Actives in any other stripe are disjoint from the box on
+   attribute 0 — exactly what the engine's pruning would discard. The
+   interval is computed only when there are stripes to route among,
+   so a one-shard store visits its one shard without allocating. *)
+let iter_consulted t ~q0 x ~f =
+  if Array.length t.shards > 1 then
+    Interval_index.iter_overlapping t.stripe_index (q0 x) ~f;
+  f (fallback_shard t)
+
+(* {2 Entry bookkeeping} *)
 
 let order_push t id =
   if t.order_n = Array.length t.order then begin
@@ -150,7 +243,32 @@ let fold_entries t ~init ~f =
   done;
   !acc
 
-let active t = Active_set.to_list t.active
+(* Each shard's set is ascending, so one shard is already in order;
+   several are merged by id. *)
+let active_arrays t =
+  match t.shards with
+  | [| sh |] -> Active_set.arrays sh.set
+  | shards ->
+      let rows =
+        Array.concat
+          (Array.to_list
+             (Array.map
+                (fun sh ->
+                  let ids, subs = Active_set.arrays sh.set in
+                  Array.combine ids subs)
+                shards))
+      in
+      Array.sort (fun (a, _) (b, _) -> Int.compare a b) rows;
+      Array.split rows
+
+let active_packed t =
+  match t.shards with
+  | [| sh |] -> Active_set.packed sh.set
+  | _ -> Flat.pack ~m:t.arity (snd (active_arrays t))
+
+let active t =
+  let ids, subs = active_arrays t in
+  Array.to_list (Array.combine ids subs)
 
 let covered t =
   fold_entries t ~init:[] ~f:(fun acc id e ->
@@ -159,21 +277,18 @@ let covered t =
       | Covered by -> (id, e.sub, by) :: acc)
   |> List.rev
 
-let active_count t = Active_set.length t.active
-let covered_count t = size t - active_count t
-
-let find t id =
+let find_entry t id =
   match Hashtbl.find_opt t.entries id with
-  | Some e -> e.sub
+  | Some e -> e
   | None -> raise Not_found
+
+let find t id = (find_entry t id).sub
 
 let is_active t id =
-  match Hashtbl.find_opt t.entries id with
-  | Some e -> (match e.state with Active -> true | Covered _ -> false)
-  | None -> raise Not_found
+  match (find_entry t id).state with Active -> true | Covered _ -> false
 
-let active_arrays t = Active_set.arrays t.active
-let active_packed t = Active_set.packed t.active
+let home_shard t id = (find_entry t id).home
+let expiry t id = (find_entry t id).expires_at
 
 let link_child t ~coverer ~child =
   let cur = Option.value ~default:[] (Hashtbl.find_opt t.children coverer) in
@@ -189,18 +304,19 @@ let unlink_child t ~coverer ~child =
       | l' -> Hashtbl.replace t.children coverer l')
 
 (* Every change of an entry's placement goes through this pair: [place]
-   records [state] (joining the active set, or linking the entry under
-   its coverers), [unplace] undoes whatever the current state recorded.
-   A departing active's own child list is left for [take_orphans]. *)
+   records [state] (joining its home shard's active set, or linking the
+   entry under its coverers), [unplace] undoes whatever the current
+   state recorded. A departing active's own child list is left for
+   [take_orphans]. *)
 let place t id e state =
   e.state <- state;
   match state with
-  | Active -> Active_set.add t.active id e.sub
+  | Active -> Active_set.add t.shards.(e.home).set id e.sub
   | Covered by -> List.iter (fun coverer -> link_child t ~coverer ~child:id) by
 
 let unplace t id e =
   match e.state with
-  | Active -> Active_set.remove t.active id
+  | Active -> Active_set.remove t.shards.(e.home).set id
   | Covered by ->
       List.iter (fun coverer -> unlink_child t ~coverer ~child:id) by
 
@@ -216,28 +332,45 @@ let take_orphans t departed =
     departed
   |> List.sort_uniq Int.compare
 
+(* {2 Classification} *)
+
+(* Gather the candidates an arrival can interact with: the actives of
+   the consulted shards that intersect its box, merged into ascending
+   id order — exactly the subset an engine run over the whole active
+   set retains after pruning, in the same order. Since {!Engine.check}
+   prunes before every other stage, the report is the one the whole
+   set would give (prune-first contract). *)
+let gather t s =
+  let sbox = Flat.box_of_sub s in
+  let cands = ref [] in
+  iter_consulted t ~q0:(fun s -> Subscription.range s 0) s ~f:(fun si ->
+      let set = t.shards.(si).set in
+      if Active_set.length set > 0 then begin
+        let rows = Flat.intersecting_rows (Active_set.packed set) sbox in
+        for i = Array.length rows - 1 downto 0 do
+          let r = rows.(i) in
+          cands := (Active_set.id set r, Active_set.sub set r) :: !cands
+        done
+      end);
+  let arr = Array.of_list !cands in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) arr;
+  Array.split arr
+
 (* Translate an engine report into a placement, mapping candidate rows
-   back to store ids through the active-set snapshot [ids]. *)
-let placement_of_report ~s ids subs report =
+   back to store ids through the gathered ids [cids]. *)
+let placement_of_report cids report =
   match report.Engine.verdict with
-  | Engine.Covered_pairwise row -> Covered [ ids.(row) ]
+  | Engine.Covered_pairwise row -> Covered [ cids.(row) ]
   | Engine.Covered_probably ->
-      (* Record the MCS-reduced candidate set as coverers: exactly
-         the subscriptions whose joint cover classified [s]. Without
-         an MCS trace, fall back to the candidates intersecting [s] —
-         a superset of any true cover (a disjoint candidate covers no
-         point of [s]), and the same list the engine's own pruning
-         pass retains, so the sharded store records identical links. *)
+      (* Record the MCS-reduced candidate set as coverers: exactly the
+         subscriptions whose joint cover classified [s]. Without an MCS
+         trace, fall back to every gathered candidate — the actives
+         intersecting [s], a superset of any true cover (a disjoint
+         candidate covers no point of [s]). *)
       let coverers =
         match report.Engine.mcs with
-        | Some m -> List.map (fun row -> ids.(row)) m.Mcs.kept
-        | None ->
-            let acc = ref [] in
-            for row = Array.length ids - 1 downto 0 do
-              if Subscription.intersects s subs.(row) then
-                acc := ids.(row) :: !acc
-            done;
-            !acc
+        | Some m -> List.map (fun row -> cids.(row)) m.Mcs.kept
+        | None -> Array.to_list cids
       in
       Covered coverers
   | Engine.Not_covered _ -> Active
@@ -246,23 +379,23 @@ let placement_of_report ~s ids subs report =
    the store policy. Under the group policy every classification draws
    exactly one {!Prng.split} from the store generator and hands the
    child stream to the engine — a fixed per-classification consumption
-   that the sharded store mirrors split-for-split (see
-   {!Shard_store}). *)
+   that recovery reproduces without re-running the engine. *)
 let classify t s =
   match t.policy with
   | No_coverage -> Active
   | Pairwise_policy -> (
-      let ids, subs = active_arrays t in
-      match Pairwise.find_coverer s subs with
-      | Some i -> Covered [ ids.(i) ]
+      (* A pairwise coverer contains s, hence intersects it, hence is
+         gathered; candidates keep ascending id order, so the first
+         coverer found is the first of the whole active set. *)
+      let cids, csubs = gather t s in
+      match Pairwise.find_coverer s csubs with
+      | Some i -> Covered [ cids.(i) ]
       | None -> Active)
   | Group_policy config ->
-      let ids, subs = active_arrays t in
-      let packed = active_packed t in
       t.splits <- t.splits + 1;
       let rng = Prng.split t.rng in
-      placement_of_report ~s ids subs
-        (Engine.check ~config ~packed ~rng s subs)
+      let cids, csubs = gather t s in
+      placement_of_report cids (Engine.check ~config ~rng s csubs)
 
 (* Bookkeeping half of an insertion: record the entry under the next
    id with its already-computed placement. Shared by live insertion
@@ -270,7 +403,7 @@ let classify t s =
 let install t s ~state ~expires_at =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let e = { sub = s; state; expires_at } in
+  let e = { sub = s; state; expires_at; home = home_of t s } in
   Hashtbl.replace t.entries id e;
   order_push t id;
   t.added <- t.added + 1;
@@ -293,26 +426,7 @@ let insert t s ~expires_at =
 let add t s = insert t s ~expires_at:infinity
 let add_with_expiry t s ~expires_at = insert t s ~expires_at
 
-(* Batched insertion: the sequential loop [Array.map (add t) subs] in
-   index order, after validating every arity up front so a mid-batch
-   failure cannot leave a prefix installed. *)
-let add_batch t subs =
-  let n = Array.length subs in
-  Array.iter
-    (fun s ->
-      if Subscription.arity s <> t.arity then
-        invalid_arg "Subscription_store.add_batch: arity mismatch")
-    subs;
-  let results = Array.make n (0, Active) in
-  for i = 0 to n - 1 do
-    results.(i) <- add t subs.(i)
-  done;
-  results
-
-let expiry t id =
-  match Hashtbl.find_opt t.entries id with
-  | Some e -> e.expires_at
-  | None -> raise Not_found
+(* {2 Leases, removal, reclassification} *)
 
 (* Renewing an id the store no longer holds is a no-op, not an error:
    a refresh can race a sweep that already expired the entry, and the
@@ -370,11 +484,7 @@ let departed_actives dropped =
     dropped
 
 let remove t id =
-  let e =
-    match Hashtbl.find_opt t.entries id with
-    | Some e -> e
-    | None -> raise Not_found
-  in
+  let e = find_entry t id in
   drop_entry t id e;
   let reclassified =
     reclassify_orphans t ~departed_active:(departed_actives [ (id, e) ])
@@ -397,15 +507,33 @@ let expire t ~now =
     emit t (Op_expire { now; expired = expired_ids; reclassified });
   (expired_ids, promoted_of_reclassified reclassified)
 
+(* {2 Matching} *)
+
+(* First-attribute footprint of a publication, for shard fan-out. A
+   malformed (zero-length) publication consults everything, which
+   degrades to a whole-set match rather than missing hits. *)
+let q0_of_pub p =
+  match p with
+  | Publication.Point values ->
+      if Array.length values = 0 then Interval.full
+      else Interval.point values.(0)
+  | Publication.Box s ->
+      if Subscription.arity s = 0 then Interval.full else Subscription.range s 0
+
 let match_publication t p =
   let hits = ref [] in
   let matched_actives = ref [] in
-  (* The counting index answers the active-set question exactly — no
-     per-active [Publication.matches] scan ([active_scans] stays
-     flat; the index work shows up in [index_hits]). *)
-  Active_set.iter_matches t.active p ~f:(fun id ->
-      matched_actives := id :: !matched_actives;
-      hits := id :: !hits);
+  (* Actives outside the consulted shards are disjoint from the
+     publication on attribute 0, so they cannot match. Each consulted
+     shard answers through its counting index — no per-active
+     [Publication.matches] scan; the index work shows up in
+     [index_hits]. *)
+  let matched id =
+    matched_actives := id :: !matched_actives;
+    hits := id :: !hits
+  in
+  iter_consulted t ~q0:q0_of_pub p ~f:(fun si ->
+      Active_set.iter_matches t.shards.(si).set p ~f:matched);
   (* Multi-level descent: only the covered subscriptions recorded under
      a matched coverer can match (a point in a covered subscription
      lies in one of its coverers). *)
@@ -438,14 +566,14 @@ let match_publication_exhaustive t p =
    own stream, or interleaving queries with arrivals would perturb
    later placements. *)
 let check_publication t ~rng p =
-  let _, subs = active_arrays t in
-  let packed = active_packed t in
+  let s = Publication.to_sub p in
   let config =
     match t.policy with
     | Group_policy config -> config
     | No_coverage | Pairwise_policy -> Engine.default_config
   in
-  Engine.check_publication ~config ~packed ~rng p subs
+  let _, csubs = gather t s in
+  Engine.check ~config ~rng s csubs
 
 let[@problint.allow
      determinism
@@ -501,22 +629,29 @@ let[@problint.allow
             by
       | Active -> ())
     t.entries;
-  (* The active set holds exactly the active entries — ascending,
-     aliasing their subscriptions, packed and indexed — and the order
-     vector agrees with the entry table. *)
+  (* Each shard's set holds exactly the active entries homed there by
+     the routing function — ascending, aliasing their subscriptions,
+     packed and indexed — and, with the count check, every active
+     entry sits in its home shard. The order vector agrees with the
+     entry table. *)
   let ground_active =
     Hashtbl.fold
       (fun _ e n -> match e.state with Active -> n + 1 | Covered _ -> n)
       t.entries 0
   in
-  if Active_set.length t.active <> ground_active then ok := false;
-  if
-    not
-      (Active_set.consistent t.active ~find:(fun id ->
-           match Hashtbl.find_opt t.entries id with
-           | Some { state = Active; sub; _ } -> Some sub
-           | Some { state = Covered _; _ } | None -> None))
-  then ok := false;
+  if active_count t <> ground_active then ok := false;
+  Array.iteri
+    (fun si sh ->
+      if
+        not
+          (Active_set.consistent sh.set ~find:(fun id ->
+               match Hashtbl.find_opt t.entries id with
+               | Some { state = Active; sub; home; _ }
+                 when home = si && home_of t sub = si ->
+                   Some sub
+               | Some _ | None -> None))
+      then ok := false)
+    t.shards;
   let seen = ref (-1) in
   let live_in_order = ref 0 in
   for i = 0 to t.order_n - 1 do
@@ -534,9 +669,11 @@ let stats t =
     dropped_covered = t.dropped_covered;
     removed = t.removed_count;
     promoted = t.promoted_count;
-    active_scans = t.active_scans;
     covered_scans = t.covered_scans;
-    index_hits = Active_set.index_hits t.active;
+    index_hits =
+      Array.fold_left
+        (fun acc sh -> acc + Active_set.index_hits sh.set)
+        0 t.shards;
   }
 
 (* -------------------------------------------------------------------
@@ -549,7 +686,9 @@ let stats t =
    replaying the journal on a fresh store with the same seed yields
    the same entries, placements, coverer links, active set, ids and
    generator state as the live sequence — which equal_state checks and
-   the qcheck crash-point suite asserts for arbitrary op sequences. *)
+   the qcheck crash-point suite asserts for arbitrary op sequences.
+   The ops carry no shard: homes are recomputed on install, so a
+   journal replays into any shard count. *)
 
 let consume_split t =
   match t.policy with
@@ -626,7 +765,7 @@ let restore ?policy ~arity ~seed img =
       last := id;
       if Subscription.arity sub <> t.arity then
         invalid_arg "Subscription_store.recover: image arity mismatch";
-      let e = { sub; state = placement; expires_at } in
+      let e = { sub; state = placement; expires_at; home = home_of t sub } in
       Hashtbl.replace t.entries id e;
       order_push t id;
       place t id e placement)
@@ -655,4 +794,3 @@ let equal_state a b =
   && a.splits = b.splits
   && List.equal entry_equal (entry_list a) (entry_list b)
   && fst (active_arrays a) = fst (active_arrays b)
-  && Flat.equal (active_packed a) (active_packed b)

@@ -16,7 +16,34 @@
 
     Matching follows Algorithm 5: a publication is tested against the
     active set first; only when some active subscription matches can a
-    covered one match, so the covered set is scanned only on a hit. *)
+    covered one match, so the covered set is scanned only on a hit.
+
+    {2 Shards}
+
+    The active set is partitioned by the {e first attribute} into
+    [shards] pieces, each an {!Active_set} (ids, boxed subscriptions,
+    packed bounds and counting index, all maintained in place). The
+    [domain0] range is split into [shards - 1] contiguous {e stripes}
+    (the outer stripes extended to the unbounded sentinels so the
+    stripes cover the whole line), plus one {e fallback} shard. An
+    active subscription lives in the unique stripe that fully contains
+    its first-attribute interval, or in the fallback when it spans a
+    stripe boundary or is unconstrained on that attribute. With
+    [shards = 1] (the default) the fallback is the whole active set.
+
+    Every covering check consults the stripes its box overlaps on
+    attribute 0, plus the fallback, and hands {!Engine.check} the
+    consulted actives that intersect the box, in ascending id order.
+    Actives anywhere else are disjoint from the box — precisely the
+    candidates the engine's intersection pruning discards first — and
+    since the engine prunes {e before} every other stage, the report
+    is the one a pruning engine run over the whole active set gives
+    (whatever the config's [use_pruning], every gathered candidate
+    already intersects the box): same
+    verdicts, witnesses, MCS traces (as ids), trial counts. Placements,
+    ids, coverer lists, promotions, match sets, the split stream and
+    every counter except [index_hits] are therefore the same at every
+    shard count under the same seed and op sequence. *)
 
 type id = int
 (** Store-assigned subscription identifier, unique per store. *)
@@ -36,12 +63,26 @@ type placement =
 type t
 (** A mutable store. *)
 
-val create : ?policy:policy -> arity:int -> seed:int -> unit -> t
+val create :
+  ?policy:policy ->
+  ?shards:int ->
+  ?domain0:Interval.t ->
+  arity:int ->
+  seed:int ->
+  unit ->
+  t
 (** [create ~arity ~seed ()] builds an empty store for subscriptions
     with [arity] attributes. [seed] drives the engine's RSPC draws
     (group policy only): each group classification hands the engine a
     fresh {!Prng.split} of the store generator, so a given seed fixes
-    every verdict. Default policy: [Group_policy Engine.default_config]. *)
+    every verdict. Default policy: [Group_policy Engine.default_config].
+    [?shards] (default 1) is the total shard count, [shards - 1]
+    first-attribute stripes plus the fallback. [?domain0] (default
+    {!Interval.full}) is the first-attribute range to stripe; pass the
+    workload's real attribute domain, or nearly all subscriptions land
+    in one stripe.
+    @raise Invalid_argument if [arity < 1], [shards < 1], or [domain0]
+    is narrower than the stripe count. *)
 
 val policy : t -> policy
 val arity : t -> int
@@ -54,13 +95,6 @@ val covered_count : t -> int
 val add : t -> Subscription.t -> id * placement
 (** [add t s] inserts [s] and reports where it landed.
     @raise Invalid_argument on an arity mismatch. *)
-
-val add_batch : t -> Subscription.t array -> (id * placement) array
-(** [add_batch t subs] inserts the whole batch and returns each item's
-    [(id, placement)]: [subs] fed one by one through {!add} in index
-    order.
-    @raise Invalid_argument if any item's arity mismatches (checked
-    up front, before any insertion). *)
 
 val add_with_expiry : t -> Subscription.t -> expires_at:float -> id * placement
 (** Like {!add} but the subscription carries a lease: it is removed by
@@ -109,25 +143,40 @@ val active_arrays : t -> id array * Subscription.t array
     copies of the ids and subscriptions the store maintains in place. *)
 
 val active_packed : t -> Flat.t
-(** The active set's bounds, row for row with {!active_arrays}, as a
-    copy-free {!Flat.view} of the buffer the store maintains in place
-    at every active-set change — what the store hands {!Engine.check},
-    so admission never re-packs. Valid until the store's next mutation
-    ({!add}, {!remove}, {!expire}, {!apply_op}, ...); read it before
-    mutating, never after. *)
+(** The active set's bounds, row for row with {!active_arrays}. On a
+    one-shard store it is a copy-free {!Flat.view} of the buffer the
+    store maintains in place at every active-set change, valid until
+    the store's next mutation ({!add}, {!remove}, {!expire},
+    {!apply_op}, ...): read it before mutating, never after. With
+    several shards it is a fresh pack. *)
 
 val covered : t -> (id * Subscription.t * id list) list
 (** Covered subscriptions with their recorded coverers, ascending id. *)
 
+val fallback_shard : t -> int
+(** Index of the fallback shard: [shards - 1]. *)
+
+val home_shard : t -> id -> int
+(** The shard the subscription is (if active) or would be (if
+    covered) stored in. @raise Not_found on an unknown id. *)
+
+val shard_actives : t -> int array
+(** Per-shard active counts, one entry per shard — load-balance
+    diagnostics; sums to {!active_count}. *)
+
 val match_publication : t -> Publication.t -> id list
 (** Algorithm 5 with its multi-level optimization: ids of all matching
-    subscriptions (active and covered), ascending. Only the covered
+    subscriptions (active and covered), ascending. Only the shards
+    whose region overlaps the publication's first-attribute value (or
+    box range), plus the fallback, are consulted, each through its
+    counting index ({!Counting_matcher}); then only the covered
     subscriptions recorded under a {e matched} coverer are tested — a
     point inside a (correctly) covered subscription necessarily lies
     inside one of its coverers. Under {!Group_policy} a {e wrongly}
     covered subscription can be missed (its recorded "coverers" do not
     actually cover it) — the δ-bounded loss mode Proposition 5
-    analyzes. *)
+    analyzes. @raise Invalid_argument if a coverer records a child the
+    store no longer holds. *)
 
 val match_publication_exhaustive : t -> Publication.t -> id list
 (** Ground truth: match against {e every} live subscription, bypassing
@@ -140,23 +189,22 @@ val check_publication : t -> rng:Prng.t -> Publication.t -> Engine.report
     never draw from the store's own generator, or interleaving them
     with arrivals would perturb later placements). Runs under the
     group-policy config when the store has one,
-    {!Engine.default_config} otherwise. *)
+    {!Engine.default_config} otherwise. The engine sees the gathered
+    candidates, so the report's rows index the actives intersecting
+    the publication's box, ascending, and [k_initial] counts only
+    them. *)
 
 type stats = {
   added : int;
   dropped_covered : int;  (** Arrivals classified as covered. *)
   removed : int;
   promoted : int;
-  active_scans : int;
-      (** Subscriptions tested one-by-one ([Publication.matches])
-          against the active set. Zero on the indexed match path — the
-          counting index replaces the scan; the index's work is
-          {!field-index_hits}. *)
   covered_scans : int;  (** Subscriptions touched in covered-set scans. *)
   index_hits : int;
       (** Per-attribute counting-index hits processed by
-          {!match_publication} — the indexed path's unit of work
-          ({!Counting_matcher.inspections}). *)
+          {!match_publication} over the consulted shards — the indexed
+          path's unit of work ({!Counting_matcher.inspections}); the
+          only counter the shard count changes. *)
 }
 
 val stats : t -> stats
@@ -166,9 +214,11 @@ val validate : t -> bool
 (** Structural invariants, for tests: coverer references are live and
     active, the multi-level child index is the exact inverse of the
     covered-by relation, (pairwise policy) every recorded coverer
-    really covers its child, and the maintained active set holds
-    exactly the active entries — ascending ids, their very
-    subscriptions, bounds equal to [Flat.pack] of them. *)
+    really covers its child, the insertion-order vector agrees with
+    the entry table, and each shard's active set holds exactly the
+    active entries homed there by the routing function — ascending
+    ids, their very subscriptions, bounds equal to [Flat.pack] of
+    them. *)
 
 (** {1 Durability: effect journal and crash recovery}
 
@@ -186,7 +236,7 @@ type op =
       sub : Subscription.t;
       placement : placement;
       expires_at : float;
-    }  (** One {!add}/{!add_batch} item or {!add_with_expiry}. *)
+    }  (** One {!add} or {!add_with_expiry}. *)
   | Op_remove of { id : id; reclassified : (id * placement) list }
       (** One {!remove}; [reclassified] lists every orphan re-checked
           after an active departure, with its new placement. *)
@@ -234,16 +284,19 @@ val empty_image : image
 
 val recover :
   ?policy:policy -> arity:int -> seed:int -> ?image:image -> op list -> t
-(** [recover ~arity ~seed ops] rebuilds a store from a snapshot image
-    (default: empty) plus a journaled op suffix. [policy], [arity] and
-    [seed] must be those of the original store; the result then
-    satisfies [equal_state original (recover ...)] — same entries,
-    placements, coverer links, active arrays, {!Flat} pack, next id
-    and generator position. @raise Invalid_argument on a malformed
-    image or an [Op_add] inconsistent with the rebuilt state. *)
+(** [recover ~arity ~seed ops] rebuilds a one-shard store from a
+    snapshot image (default: empty) plus a journaled op suffix. [policy],
+    [arity] and [seed] must be those of the original store, whatever
+    its shard count (ops record placements, not shards); the result
+    then satisfies [equal_state original (recover ...)] — same entries,
+    placements, coverer links, active ids, next id and generator
+    position. @raise Invalid_argument on a malformed image or an
+    [Op_add] inconsistent with the rebuilt state. *)
 
 val equal_state : t -> t -> bool
 (** Logical-state equality: policy, arity, next id, consumed splits,
-    the full entry table (ids, subscriptions, placements, leases), the
-    active id array and the packed {!Flat} planes. Read-path counters
-    ([stats]) are excluded — they are not part of durable state. *)
+    the full entry table (ids, subscriptions, placements, leases) and
+    the active ids. The shard layout is not compared, so a store
+    equals its one-shard recovery; {!validate} checks the structure.
+    Read-path counters ([stats]) are excluded — they are not part of
+    durable state. *)

@@ -1,7 +1,7 @@
 (* Indexed-matching equivalence: after any op stream, the counting
-   index behind [Subscription_store.match_publication] (and, through
-   stripe routing, [Shard_store.match_publication]) must return hit
-   lists bit-identical to [match_publication_exhaustive]. Op streams
+   indexes behind [Subscription_store.match_publication], at one shard
+   and through stripe routing at several, must return hit lists
+   bit-identical to [match_publication_exhaustive]. Op streams
    mix add/remove/expire/renew with Point and Box publications, and
    the subscription generator deliberately produces full-interval
    (unconstrained) attributes — the universal-subscription and
@@ -103,7 +103,7 @@ let ops_arb =
         ops)
 
 (* ------------------------------------------------------------------ *)
-(* Driver, abstracted over the two store shapes *)
+(* Driver *)
 
 type store_ops = {
   add : Subscription.t -> int;
@@ -116,8 +116,10 @@ type store_ops = {
   validate : unit -> bool;
 }
 
-let flat_ops policy =
-  let t = Subscription_store.create ~policy ~arity ~seed:42 () in
+let store_ops policy shards =
+  let t =
+    Subscription_store.create ~policy ~shards ~domain0 ~arity ~seed:42 ()
+  in
   {
     add = (fun s -> fst (Subscription_store.add t s));
     add_leased =
@@ -129,20 +131,6 @@ let flat_ops policy =
     matching = Subscription_store.match_publication t;
     exhaustive = Subscription_store.match_publication_exhaustive t;
     validate = (fun () -> Subscription_store.validate t);
-  }
-
-let shard_ops policy shards =
-  let t = Shard_store.create ~policy ~shards ~domain0 ~arity ~seed:42 () in
-  {
-    add = (fun s -> fst (Shard_store.add t s));
-    add_leased =
-      (fun s ~expires_at -> fst (Shard_store.add_with_expiry t s ~expires_at));
-    remove = (fun id -> ignore (Shard_store.remove t id));
-    renew = (fun id ~expires_at -> Shard_store.renew t id ~expires_at);
-    expire = (fun ~now -> fst (Shard_store.expire t ~now));
-    matching = Shard_store.match_publication t;
-    exhaustive = Shard_store.match_publication_exhaustive t;
-    validate = (fun () -> Shard_store.validate t);
   }
 
 (* Checked publications: each Match op, plus a final fixed battery so
@@ -198,7 +186,7 @@ let prop_flat =
     ~name:"flat indexed match == exhaustive (exact policies)" ops_arb
     (fun ops ->
       List.for_all
-        (fun policy -> run_equiv (fun () -> flat_ops policy) ops)
+        (fun policy -> run_equiv (fun () -> store_ops policy 1) ops)
         [ Subscription_store.No_coverage; Subscription_store.Pairwise_policy ])
 
 let prop_shard =
@@ -209,7 +197,7 @@ let prop_shard =
         (fun shards ->
           List.for_all
             (fun policy ->
-              run_equiv (fun () -> shard_ops policy shards) ops)
+              run_equiv (fun () -> store_ops policy shards) ops)
             [
               Subscription_store.No_coverage;
               Subscription_store.Pairwise_policy;

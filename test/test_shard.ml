@@ -1,10 +1,13 @@
-(* Sharded-store equivalence: a Shard_store and a flat
-   Subscription_store driven through the same op sequence under the
+(* Sharded-store equivalence: a store striped into several shards and
+   a one-shard store driven through the same op sequence under the
    same seed must agree on everything observable — ids, placements,
-   coverer lists, promotions, match sets, publication reports and
-   counters (scan counters excepted: the shard map exists to shrink
-   them). Exercised for shard counts 1 (degenerate: fallback only),
-   2, 7 and 16 over qcheck-generated op sequences. *)
+   coverer lists, promotions, match sets and counters (index hits
+   excepted: the shard map exists to shrink them) — and each store's
+   publication reports must equal an unconfined engine run over the
+   whole active set. Exercised for shard counts 1 (degenerate:
+   fallback only), 2, 7 and 16 over qcheck-generated op sequences. A
+   sharded store's journal must also replay into the one-shard store
+   that recovery builds. *)
 
 open Probsub_core
 
@@ -53,37 +56,35 @@ let pub_gen =
 
 type op =
   | Add of Subscription.t
-  | Add_batch of Subscription.t list
   | Remove_nth of int
   | Add_leased of Subscription.t * float
   | Expire of float
   | Match of Publication.t
   | Check of Publication.t
 
-let op_gen =
+(* One step of the stream: a single op, or a run of 2-5 consecutive
+   arrivals. *)
+let ops_gen =
   QCheck.Gen.(
     frequency
       [
-        (6, map (fun s -> Add s) sub_gen);
-        (1, map (fun ss -> Add_batch ss) (list_size (int_range 2 5) sub_gen));
-        (2, map (fun i -> Remove_nth i) (int_bound 1000));
+        (6, map (fun s -> [ Add s ]) sub_gen);
+        ( 1,
+          map
+            (List.map (fun s -> Add s))
+            (list_size (int_range 2 5) sub_gen) );
+        (2, map (fun i -> [ Remove_nth i ]) (int_bound 1000));
         ( 1,
           map2
-            (fun s t -> Add_leased (s, float_of_int t))
+            (fun s t -> [ Add_leased (s, float_of_int t) ])
             sub_gen (int_bound 100) );
-        (1, map (fun t -> Expire (float_of_int t)) (int_bound 100));
-        (2, map (fun p -> Match p) pub_gen);
-        (1, map (fun p -> Check p) pub_gen);
+        (1, map (fun t -> [ Expire (float_of_int t) ]) (int_bound 100));
+        (2, map (fun p -> [ Match p ]) pub_gen);
+        (1, map (fun p -> [ Check p ]) pub_gen);
       ])
 
 let pp_op ppf = function
   | Add s -> Format.fprintf ppf "Add %a" Subscription.pp s
-  | Add_batch ss ->
-      Format.fprintf ppf "Add_batch [%a]"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-           Subscription.pp)
-        ss
   | Remove_nth i -> Format.fprintf ppf "Remove_nth %d" i
   | Add_leased (s, t) ->
       Format.fprintf ppf "Add_leased (%a, %g)" Subscription.pp s t
@@ -93,7 +94,7 @@ let pp_op ppf = function
 
 let ops_arb =
   QCheck.make
-    QCheck.Gen.(list_size (int_range 15 60) op_gen)
+    QCheck.Gen.(map List.concat (list_size (int_range 15 60) ops_gen))
     ~print:(fun ops ->
       Format.asprintf "%a"
         (Format.pp_print_list
@@ -104,15 +105,16 @@ let ops_arb =
 (* ------------------------------------------------------------------ *)
 (* Mirror driver *)
 
-(* Publication reports index rows into the candidate array each store
-   handed the engine: the full active set (flat) vs the gathered
-   intersecting actives (shard). Translate rows to subscription ids on
-   both sides before comparing. *)
-let report_equal ~flat ~p ra rb =
+(* The unconfined reference indexes rows of the whole active set; a
+   store's report indexes the actives intersecting the publication's
+   box, which is what the store gathered and handed the engine.
+   Translate rows to subscription ids on both sides before
+   comparing. *)
+let report_equal ~active ~p reference r =
   let psub = Publication.to_sub p in
-  let flat_ids = Array.of_list (List.map fst (Subscription_store.active flat)) in
+  let all_ids = Array.of_list (List.map fst active) in
   let gathered_ids =
-    Subscription_store.active flat
+    active
     |> List.filter (fun (_, s) -> Subscription.intersects psub s)
     |> List.map fst |> Array.of_list
   in
@@ -127,82 +129,119 @@ let report_equal ~flat ~p ra rb =
       (fun m -> List.map row_id m.Mcs.kept)
       r.Engine.mcs
   in
-  let fid row = flat_ids.(row) and gid row = gathered_ids.(row) in
-  verdict_sig fid ra = verdict_sig gid rb
-  && mcs_sig fid ra = mcs_sig gid rb
-  && ra.Engine.k_pruned = rb.Engine.k_pruned
-  && ra.Engine.k_reduced = rb.Engine.k_reduced
-  && ra.Engine.d_used = rb.Engine.d_used
-  && ra.Engine.iterations = rb.Engine.iterations
+  let aid row = all_ids.(row) and gid row = gathered_ids.(row) in
+  verdict_sig aid reference = verdict_sig gid r
+  && mcs_sig aid reference = mcs_sig gid r
+  && reference.Engine.k_pruned = r.Engine.k_pruned
+  && reference.Engine.k_reduced = r.Engine.k_reduced
+  && reference.Engine.d_used = r.Engine.d_used
+  && reference.Engine.iterations = r.Engine.iterations
+
+(* Apply one op to [t]; [live] tracks the ids still held. [Match] and
+   [Check] leave the durable state alone. *)
+let apply_to t live op =
+  match op with
+  | Add s ->
+      let r = Subscription_store.add t s in
+      live := fst r :: !live;
+      `Added r
+  | Remove_nth i -> (
+      match !live with
+      | [] -> `Removed []
+      | l ->
+          let id = List.nth l (i mod List.length l) in
+          live := List.filter (fun x -> x <> id) l;
+          `Removed (Subscription_store.remove t id))
+  | Add_leased (s, expires_at) ->
+      let r = Subscription_store.add_with_expiry t s ~expires_at in
+      live := fst r :: !live;
+      `Added r
+  | Expire now ->
+      let expired, promoted = Subscription_store.expire t ~now in
+      live := List.filter (fun x -> not (List.mem x expired)) !live;
+      `Expired (expired, promoted)
+  | Match p ->
+      `Matched
+        ( Subscription_store.match_publication t p,
+          Subscription_store.match_publication_exhaustive t p )
+  | Check p -> `Checked p
 
 let run_mirror ~shards ops =
   let flat = Subscription_store.create ~arity:2 ~seed:99 () in
-  let shd = Shard_store.create ~shards ~domain0 ~arity:2 ~seed:99 () in
-  let live = ref [] in
+  let shd = Subscription_store.create ~shards ~domain0 ~arity:2 ~seed:99 () in
+  let live_a = ref [] and live_b = ref [] in
   let step op =
-    match op with
-    | Add s ->
-        let ra = Subscription_store.add flat s in
-        let rb = Shard_store.add shd s in
-        live := fst ra :: !live;
-        ra = rb
-    | Add_batch ss ->
-        let arr = Array.of_list ss in
-        let ra = Subscription_store.add_batch flat arr in
-        let rb = Shard_store.add_batch shd arr in
-        Array.iter (fun (id, _) -> live := id :: !live) ra;
-        ra = rb
-    | Remove_nth i -> (
-        match !live with
-        | [] -> true
-        | l ->
-            let id = List.nth l (i mod List.length l) in
-            live := List.filter (fun x -> x <> id) l;
-            Subscription_store.remove flat id = Shard_store.remove shd id)
-    | Add_leased (s, expires_at) ->
-        let ra = Subscription_store.add_with_expiry flat s ~expires_at in
-        let rb = Shard_store.add_with_expiry shd s ~expires_at in
-        live := fst ra :: !live;
-        ra = rb
-    | Expire now ->
-        let ea, pa = Subscription_store.expire flat ~now in
-        let eb, pb = Shard_store.expire shd ~now in
-        live := List.filter (fun x -> not (List.mem x ea)) !live;
-        ea = eb && pa = pb
-    | Match p ->
-        Subscription_store.match_publication flat p
-        = Shard_store.match_publication shd p
-        && Subscription_store.match_publication_exhaustive flat p
-           = Shard_store.match_publication_exhaustive shd p
-    | Check p ->
-        let ra =
-          Subscription_store.check_publication flat ~rng:(Prng.of_int 5) p
+    match (apply_to flat live_a op, apply_to shd live_b op) with
+    | `Checked p, `Checked _ ->
+        let active = Subscription_store.active flat in
+        let reference =
+          Engine.check_publication ~config:Engine.default_config
+            ~rng:(Prng.of_int 5) p
+            (Array.of_list (List.map snd active))
         in
-        let rb = Shard_store.check_publication shd ~rng:(Prng.of_int 5) p in
-        report_equal ~flat ~p ra rb
+        let check t = Subscription_store.check_publication t ~rng:(Prng.of_int 5) p in
+        active = Subscription_store.active shd
+        && report_equal ~active ~p reference (check flat)
+        && report_equal ~active ~p reference (check shd)
+    | ra, rb -> ra = rb
   in
   let steps_ok = List.for_all step ops in
-  let sa = Subscription_store.stats flat and sb = Shard_store.stats shd in
+  let sa = Subscription_store.stats flat and sb = Subscription_store.stats shd in
   steps_ok
-  && Subscription_store.active flat = Shard_store.active shd
-  && Subscription_store.covered flat = Shard_store.covered shd
-  && Subscription_store.size flat = Shard_store.size shd
-  && Subscription_store.splits_consumed flat = Shard_store.splits_consumed shd
+  && Subscription_store.active flat = Subscription_store.active shd
+  && Subscription_store.covered flat = Subscription_store.covered shd
+  && Subscription_store.size flat = Subscription_store.size shd
+  && Subscription_store.splits_consumed flat
+     = Subscription_store.splits_consumed shd
   && sa.Subscription_store.added = sb.Subscription_store.added
   && sa.Subscription_store.dropped_covered = sb.Subscription_store.dropped_covered
   && sa.Subscription_store.removed = sb.Subscription_store.removed
   && sa.Subscription_store.promoted = sb.Subscription_store.promoted
   && sa.Subscription_store.covered_scans = sb.Subscription_store.covered_scans
-  && sa.Subscription_store.active_scans >= sb.Subscription_store.active_scans
+  && Subscription_store.equal_state flat shd
   && Subscription_store.validate flat
-  && Shard_store.validate shd
-  && Array.fold_left ( + ) 0 (Shard_store.shard_actives shd)
-     = Shard_store.active_count shd
+  && Subscription_store.validate shd
+  && Array.fold_left ( + ) 0 (Subscription_store.shard_actives shd)
+     = Subscription_store.active_count shd
 
 let prop_mirror =
   QCheck.Test.make ~count:60 ~name:"sharded store == flat store (all observables)"
     ops_arb
     (fun ops -> List.for_all (fun shards -> run_mirror ~shards ops) [ 1; 2; 7; 16 ])
+
+(* A 7-shard store journals an op stream; recovery from the whole
+   journal, and from an image taken midway plus the journal suffix,
+   must rebuild a one-shard store in the same logical state, with a
+   sound structure. *)
+let prop_sharded_replay =
+  QCheck.Test.make ~count:40
+    ~name:"sharded journal replays into the one-shard store" ops_arb
+    (fun ops ->
+      let t = Subscription_store.create ~shards:7 ~domain0 ~arity:2 ~seed:99 () in
+      let journal = ref [] in
+      Subscription_store.set_journal t (Some (fun op -> journal := op :: !journal));
+      let live = ref [] in
+      let half = List.length ops / 2 in
+      let image = ref Subscription_store.empty_image and at = ref 0 in
+      List.iteri
+        (fun i op ->
+          if i = half then begin
+            image := Subscription_store.image t;
+            at := List.length !journal
+          end;
+          ignore (apply_to t live op))
+        ops;
+      let all = List.rev !journal in
+      let suffix = List.filteri (fun i _ -> i >= !at) all in
+      let full = Subscription_store.recover ~arity:2 ~seed:99 all in
+      let resumed =
+        Subscription_store.recover ~arity:2 ~seed:99 ~image:!image suffix
+      in
+      Subscription_store.validate t
+      && Subscription_store.equal_state t full
+      && Subscription_store.validate full
+      && Subscription_store.equal_state t resumed
+      && Subscription_store.validate resumed)
 
 (* ------------------------------------------------------------------ *)
 (* Unit tests *)
@@ -211,86 +250,69 @@ let prop_mirror =
    shard yet still covers striped subscriptions: coverer links are
    global, only the active set is partitioned. *)
 let test_fallback_covers_stripes () =
-  let t = Shard_store.create ~shards:4 ~domain0 ~arity:2 ~seed:7 () in
+  let t = Subscription_store.create ~shards:4 ~domain0 ~arity:2 ~seed:7 () in
   let full = Subscription.of_list [ Interval.full; iv 0 50 ] in
-  let id_full, p_full = Shard_store.add t full in
+  let id_full, p_full = Subscription_store.add t full in
   (match p_full with
   | Subscription_store.Active -> ()
   | Subscription_store.Covered _ -> Alcotest.fail "full sub must stay active");
   Alcotest.(check int)
     "full-range sub homes in the fallback shard"
-    (Shard_store.fallback_shard t)
-    (Shard_store.home_shard t id_full);
-  let id_narrow, p_narrow = Shard_store.add t (sub [ (10, 12); (3, 5) ]) in
+    (Subscription_store.fallback_shard t)
+    (Subscription_store.home_shard t id_full);
+  let id_narrow, p_narrow = Subscription_store.add t (sub [ (10, 12); (3, 5) ]) in
   (match p_narrow with
   | Subscription_store.Covered [ c ] ->
       Alcotest.(check int) "covered by the fallback sub" id_full c
   | _ -> Alcotest.fail "striped sub must be covered by the fallback sub");
   (* The narrow sub's home is a stripe even while covered; removing the
      coverer promotes it into that stripe. *)
-  let home = Shard_store.home_shard t id_narrow in
+  let home = Subscription_store.home_shard t id_narrow in
   Alcotest.(check bool)
     "narrow sub homes in a stripe" true
-    (home < Shard_store.fallback_shard t);
-  let promoted = Shard_store.remove t id_full in
+    (home < Subscription_store.fallback_shard t);
+  let promoted = Subscription_store.remove t id_full in
   Alcotest.(check (list int)) "narrow sub promoted" [ id_narrow ] promoted;
   Alcotest.(check int)
     "promoted into its stripe" 1
-    (Shard_store.shard_actives t).(home);
-  Alcotest.(check bool) "invariants hold" true (Shard_store.validate t)
+    (Subscription_store.shard_actives t).(home);
+  Alcotest.(check bool) "invariants hold" true (Subscription_store.validate t)
 
 (* Disjoint narrow subscriptions spread across stripes, and matching
-   consults only the relevant shard (the active-scan counter shrinks
-   relative to a full scan). *)
+   consults only the relevant shard: the counting-index work for a
+   publication stays below a one-shard store's over the same four
+   subscriptions. *)
 let test_striping_spreads_and_confines () =
-  let t = Shard_store.create ~shards:5 ~domain0 ~arity:2 ~seed:11 () in
+  let t = Subscription_store.create ~shards:5 ~domain0 ~arity:2 ~seed:11 () in
+  let flat = Subscription_store.create ~arity:2 ~seed:11 () in
   (* domain0 = [0,99] over 4 stripes of width 25. *)
   let homes =
     List.map
       (fun lo ->
-        let id, p = Shard_store.add t (sub [ (lo, lo + 2); (0, 9) ]) in
+        let s = sub [ (lo, lo + 2); (0, 9) ] in
+        ignore (Subscription_store.add flat s);
+        let id, p = Subscription_store.add t s in
         (match p with
         | Subscription_store.Active -> ()
         | Subscription_store.Covered _ ->
             Alcotest.fail "disjoint subs stay active");
-        Shard_store.home_shard t id)
+        Subscription_store.home_shard t id)
       [ 3; 30; 55; 80 ]
   in
   Alcotest.(check (list int)) "one stripe each" [ 0; 1; 2; 3 ] homes;
-  let hits = Shard_store.match_publication t (Publication.point [| 31; 4 |]) in
-  Alcotest.(check int) "single hit" 1 (List.length hits);
-  let scans = (Shard_store.stats t).Subscription_store.active_scans in
-  Alcotest.(check bool)
-    (Printf.sprintf "consulted fewer actives than a full scan (%d)" scans)
-    true (scans < 4)
-
-(* add_batch is defined as the sequential loop: same results array,
-   same splits, same final state. *)
-let test_add_batch_equals_add_loop () =
-  let subs =
-    let g = Prng.of_int 42 in
-    Array.init 40 (fun _ ->
-        let lo0 = Prng.int_in g ~lo:0 ~hi:90 in
-        let w0 = Prng.int_in g ~lo:0 ~hi:15 in
-        let lo1 = Prng.int_in g ~lo:0 ~hi:20 in
-        sub [ (lo0, lo0 + w0); (lo1, lo1 + 6) ])
+  let pub = Publication.point [| 31; 4 |] in
+  let index_work store =
+    let before = (Subscription_store.stats store).Subscription_store.index_hits in
+    let hits = Subscription_store.match_publication store pub in
+    (hits, (Subscription_store.stats store).Subscription_store.index_hits - before)
   in
-  let seq = Shard_store.create ~shards:4 ~domain0 ~arity:2 ~seed:13 () in
-  let rs = Array.map (fun s -> Shard_store.add seq s) subs in
-  let bat = Shard_store.create ~shards:4 ~domain0 ~arity:2 ~seed:13 () in
-  let rb = Shard_store.add_batch bat subs in
-  Alcotest.(check bool) "identical results" true (rs = rb);
+  let hits, sharded = index_work t in
+  let flat_hits, whole = index_work flat in
+  Alcotest.(check int) "single hit" 1 (List.length hits);
+  Alcotest.(check (list int)) "same hit as one shard" flat_hits hits;
   Alcotest.(check bool)
-    "identical actives" true
-    (Shard_store.active seq = Shard_store.active bat);
-  Alcotest.(check bool)
-    "identical covered" true
-    (Shard_store.covered seq = Shard_store.covered bat);
-  Alcotest.(check int)
-    "identical split streams"
-    (Shard_store.splits_consumed seq)
-    (Shard_store.splits_consumed bat);
-  Alcotest.(check bool) "invariants hold" true (Shard_store.validate bat)
+    (Printf.sprintf "fewer index hits than one shard (%d < %d)" sharded whole)
+    true (sharded < whole)
 
 let suite =
   [
@@ -298,7 +320,6 @@ let suite =
       test_fallback_covers_stripes;
     Alcotest.test_case "striping spreads and confines" `Quick
       test_striping_spreads_and_confines;
-    Alcotest.test_case "add_batch = add loop" `Quick
-      test_add_batch_equals_add_loop;
+    QCheck_alcotest.to_alcotest prop_sharded_replay;
     QCheck_alcotest.to_alcotest prop_mirror;
   ]

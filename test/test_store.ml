@@ -199,122 +199,6 @@ let test_arity_guard () =
     (Invalid_argument "Subscription_store.add: arity mismatch") (fun () ->
       ignore (Subscription_store.add t (sub [ (0, 1) ])))
 
-(* ------------------------------------------------------------------ *)
-(* Batched insertion: add_batch is defined as the sequential add loop.
-   Both modes below must produce identical (id, placement) results,
-   active and covered sets, stats and a valid structure. *)
-
-let batch_base = [| sub [ (0, 49); (0, 99) ]; sub [ (50, 99); (0, 99) ] |]
-
-(* A mix of group-covered, pairwise-covered and active arrivals, so
-   the batch keeps interleaving installs that change the active set
-   with checks against it. *)
-let batch_stream n =
-  Array.init n (fun i ->
-      match i mod 4 with
-      | 0 -> sub [ (20 + (i mod 10), 70); (10, 90) ] (* group covered *)
-      | 1 -> sub [ (i mod 40, (i mod 40) + 5); (5, 20) ] (* pairwise covered *)
-      | 2 -> sub [ (200 + (7 * i), 210 + (7 * i)); (0, 99) ] (* active *)
-      | _ -> sub [ (0, 60); (0, 95) ] (* group covered, wide *))
-
-type store_snapshot = {
-  results : (Subscription_store.id * Subscription_store.placement) array;
-  active : (Subscription_store.id * Subscription.t) list;
-  covered :
-    (Subscription_store.id * Subscription.t * Subscription_store.id list) list;
-  stats : Subscription_store.stats;
-  valid : bool;
-}
-
-let run_batch_mode ~mode () =
-  let t =
-    Subscription_store.create
-      ~policy:(Subscription_store.Group_policy Engine.default_config)
-      ~arity:2 ~seed:77 ()
-  in
-  Array.iter (fun s -> ignore (Subscription_store.add t s)) batch_base;
-  let stream = batch_stream 40 in
-  let results =
-    match mode with
-    | `Loop ->
-        let out = Array.make (Array.length stream) (0, Subscription_store.Active) in
-        Array.iteri (fun i s -> out.(i) <- Subscription_store.add t s) stream;
-        out
-    | `Batch -> Subscription_store.add_batch t stream
-  in
-  {
-    results;
-    active = Subscription_store.active t;
-    covered = Subscription_store.covered t;
-    stats = Subscription_store.stats t;
-    valid = Subscription_store.validate t;
-  }
-
-let check_snapshot_equal name (a : store_snapshot) (b : store_snapshot) =
-  Alcotest.(check bool) (name ^ ": placements") true (a.results = b.results);
-  Alcotest.(check bool) (name ^ ": active set") true (a.active = b.active);
-  Alcotest.(check bool) (name ^ ": covered set") true (a.covered = b.covered);
-  Alcotest.(check bool) (name ^ ": stats") true (a.stats = b.stats);
-  Alcotest.(check bool) (name ^ ": valid") true (a.valid && b.valid)
-
-let test_add_batch_equals_add_loop () =
-  let reference = run_batch_mode ~mode:`Loop () in
-  Alcotest.(check bool) "reference valid" true reference.valid;
-  (* Some arrivals of each kind actually occurred. *)
-  Alcotest.(check bool) "mixed stream" true
-    (List.length reference.active > 2 && List.length reference.covered > 2);
-  let batch = run_batch_mode ~mode:`Batch () in
-  check_snapshot_equal "batch vs loop" batch reference
-
-let test_add_batch_edge_cases () =
-  let t =
-    Subscription_store.create
-      ~policy:(Subscription_store.Group_policy Engine.default_config)
-      ~arity:2 ~seed:5 ()
-  in
-  (* Empty batch: no effect. *)
-  Alcotest.(check int) "empty batch" 0
-    (Array.length (Subscription_store.add_batch t [||]));
-  Alcotest.(check int) "store untouched" 0 (Subscription_store.size t);
-  (* Empty store, all-active batch. *)
-  let disjoint =
-    Array.init 6 (fun i -> sub [ (100 * i, (100 * i) + 10); (0, 9) ])
-  in
-  let res = Subscription_store.add_batch t disjoint in
-  Array.iteri
-    (fun i (_, p) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "item %d active" i)
-        true
-        (p = Subscription_store.Active))
-    res;
-  Alcotest.(check int) "all active" 6 (Subscription_store.active_count t);
-  Alcotest.(check bool) "valid" true (Subscription_store.validate t);
-  (* Arity is checked up front: nothing is inserted on failure. *)
-  Alcotest.check_raises "arity checked before inserting"
-    (Invalid_argument "Subscription_store.add_batch: arity mismatch")
-    (fun () ->
-      ignore
-        (Subscription_store.add_batch t
-           [| sub [ (0, 1); (0, 1) ]; sub [ (0, 1) ] |]));
-  Alcotest.(check int) "batch rejected atomically" 6
-    (Subscription_store.size t);
-  (* Pairwise policy. *)
-  let pw =
-    Subscription_store.create ~policy:Subscription_store.Pairwise_policy
-      ~arity:2 ~seed:5 ()
-  in
-  let r =
-    Subscription_store.add_batch pw
-      [| sub [ (0, 9); (0, 9) ]; sub [ (2, 3); (2, 3) ] |]
-  in
-  (match r with
-  | [| (id0, Subscription_store.Active); (_, Subscription_store.Covered c) |] ->
-      Alcotest.(check (list int)) "pairwise coverer" [ id0 ] c
-  | _ -> Alcotest.fail "pairwise batch placements");
-  Alcotest.(check bool) "pairwise store valid" true
-    (Subscription_store.validate pw)
-
 let suite =
   [
     Alcotest.test_case "no-coverage policy" `Quick test_no_coverage_policy;
@@ -339,7 +223,4 @@ let suite =
       test_multilevel_scans_bounded;
     Alcotest.test_case "stats counters" `Quick test_stats;
     Alcotest.test_case "arity guard" `Quick test_arity_guard;
-    Alcotest.test_case "add_batch = add loop" `Slow
-      test_add_batch_equals_add_loop;
-    Alcotest.test_case "add_batch edge cases" `Quick test_add_batch_edge_cases;
   ]
