@@ -518,9 +518,8 @@ let handle_unadvertise t ~origin ~key =
   end
 
 let handle_publish t ~origin ~pub_id ~pub =
-  if Dedup_window.mem t.seen_pubs pub_id then []
+  if not (Dedup_window.admit t.seen_pubs pub_id) then []
   else begin
-    Dedup_window.add t.seen_pubs pub_id;
     let hits = Subscription_store.match_publication t.routing pub in
     let notifications = ref [] in
     let links = ref [] in

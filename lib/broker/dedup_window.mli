@@ -1,5 +1,8 @@
 (** Capacity-bounded duplicate-suppression window: a ring of the most
-    recently seen integer ids backed by a hashtable for O(1) membership.
+    recently seen integer ids, indexed by an open-addressing table of
+    ring positions for O(1) expected membership. Both are flat
+    [int array]s sized at creation (about three words per id of
+    capacity), and no operation allocates.
     Once [capacity] ids are held, remembering a fresh id forgets the
     oldest one — so memory stays constant over arbitrarily long
     simulations, at the cost that an id older than the last [capacity]
@@ -17,9 +20,16 @@ val size : t -> int
 (** Ids currently remembered; never exceeds {!capacity}. *)
 
 val mem : t -> int -> bool
+
+val admit : t -> int -> bool
+(** [admit t id] is [false] if [id] is remembered; otherwise it
+    remembers [id], evicting the oldest remembered id when full, and
+    is [true]. One lookup for a receiver's duplicate check. *)
+
 val add : t -> int -> unit
-(** Remember an id, evicting the oldest remembered id when full.
-    Adding an id already in the window is a no-op. *)
+(** [ignore (admit t id)]: remember an id, evicting the oldest
+    remembered id when full. Adding an id already in the window is a
+    no-op. *)
 
 val clear : t -> unit
 (** Forget everything (broker restart). *)

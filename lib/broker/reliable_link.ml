@@ -92,10 +92,6 @@ let receiver ?(capacity = 1024) () =
   { window = Dedup_window.create ~capacity }
 
 let admit r ~seq =
-  if Dedup_window.mem r.window seq then `Duplicate
-  else begin
-    Dedup_window.add r.window seq;
-    `Fresh
-  end
+  if Dedup_window.admit r.window seq then `Fresh else `Duplicate
 
 let reset_receiver r = Dedup_window.clear r.window

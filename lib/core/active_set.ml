@@ -2,7 +2,9 @@
    strictly ascending, their boxed subscriptions, and the same rows
    packed in [rows]. The id and subscription arrays double like the
    packed buffer; slots past [n] hold [filler], so a departed
-   subscription is never kept reachable. *)
+   subscription is never kept reachable. The counting index exists
+   only once something has matched against the set: the first match
+   builds it from the rows, and every later change maintains it. *)
 type t = {
   arity : int;
   mutable ids : int array;
@@ -10,7 +12,7 @@ type t = {
   mutable n : int;
   filler : Subscription.t;
   rows : Flat.rows;
-  matcher : Counting_matcher.t;
+  mutable matcher : Counting_matcher.t option;
 }
 
 let create ~arity =
@@ -23,7 +25,7 @@ let create ~arity =
     n = 0;
     filler;
     rows = Flat.rows_create ~m:arity;
-    matcher = Counting_matcher.create ~arity ();
+    matcher = None;
   }
 
 let length t = t.n
@@ -50,23 +52,27 @@ let add t id s =
     t.ids <- ids;
     t.subs <- subs
   end;
-  Array.blit t.ids row t.ids (row + 1) (t.n - row);
+  Flat.blit_ints t.ids row t.ids (row + 1) (t.n - row);
   Array.blit t.subs row t.subs (row + 1) (t.n - row);
   t.ids.(row) <- id;
   t.subs.(row) <- s;
   t.n <- t.n + 1;
   Flat.rows_insert t.rows ~at:row s;
-  Counting_matcher.add t.matcher ~id s
+  match t.matcher with
+  | Some m -> Counting_matcher.add m ~id s
+  | None -> ()
 
 let remove t id =
   let row = lower_bound t id in
   if row >= t.n || t.ids.(row) <> id then raise Not_found;
-  Array.blit t.ids (row + 1) t.ids row (t.n - row - 1);
+  Flat.blit_ints t.ids (row + 1) t.ids row (t.n - row - 1);
   Array.blit t.subs (row + 1) t.subs row (t.n - row - 1);
   t.n <- t.n - 1;
   t.subs.(t.n) <- t.filler;
   Flat.rows_delete t.rows ~at:row;
-  Counting_matcher.remove t.matcher ~id
+  match t.matcher with
+  | Some m -> Counting_matcher.remove m ~id
+  | None -> ()
 
 let id t row =
   if row < 0 || row >= t.n then invalid_arg "Active_set.id: row";
@@ -79,15 +85,36 @@ let sub t row =
 let to_list t = List.init t.n (fun row -> (t.ids.(row), t.subs.(row)))
 let arrays t = (Array.sub t.ids 0 t.n, Array.sub t.subs 0 t.n)
 let packed t = Flat.view t.rows
-let iter_matches t p ~f = Counting_matcher.iter_matches t.matcher p ~f
-let index_hits t = Counting_matcher.inspections t.matcher
+
+let matcher t =
+  match t.matcher with
+  | Some m -> m
+  | None ->
+      let m = Counting_matcher.build ~arity:t.arity t.ids t.subs ~len:t.n in
+      t.matcher <- Some m;
+      m
+
+let iter_matches t p ~f = Counting_matcher.iter_matches (matcher t) p ~f
+
+let index_hits t =
+  match t.matcher with Some m -> Counting_matcher.inspections m | None -> 0
 
 let consistent t ~find =
-  let ok = ref (Counting_matcher.size t.matcher = t.n) in
+  let indexed id =
+    match t.matcher with
+    | Some m -> Counting_matcher.mem m ~id
+    | None -> true
+  in
+  let ok =
+    ref
+      (match t.matcher with
+      | Some m -> Counting_matcher.size m = t.n
+      | None -> true)
+  in
   for row = 0 to t.n - 1 do
     let id = t.ids.(row) in
     if row > 0 && t.ids.(row - 1) >= id then ok := false;
-    if not (Counting_matcher.mem t.matcher ~id) then ok := false;
+    if not (indexed id) then ok := false;
     match find id with
     | Some s ->
         if

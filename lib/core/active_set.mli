@@ -2,13 +2,19 @@
     ready for both questions the store asks of it.
 
     One value holds, row-aligned and in ascending id order, the active
-    ids, their boxed subscriptions and their packed {!Flat} bounds,
-    plus the {!Counting_matcher} over the same members. Every
-    membership change updates all four in place — a fresh id appends,
-    a re-activated (§5 promoted) id is inserted at its sorted position,
-    a departing id is deleted — so admission scans a copy-free
-    {!packed} view for candidates and matching queries a live index,
-    and nothing is ever rebuilt from the store's entry table. *)
+    ids, their boxed subscriptions and their packed {!Flat} bounds.
+    Every membership change updates all three in place — a fresh id
+    appends, a re-activated (§5 promoted) id is inserted at its sorted
+    position, a departing id is deleted — so admission scans a
+    copy-free {!packed} view for candidates, and nothing is ever
+    rebuilt from the store's entry table.
+
+    The {!Counting_matcher} over the members is built by the first
+    {!iter_matches}, in one pass over the rows
+    ({!Counting_matcher.build}), and maintained by every later
+    {!add} and {!remove}. A set that is never matched against — a
+    broker's per-neighbour sent-set answers covering checks only —
+    never holds one. *)
 
 type t
 
@@ -20,8 +26,9 @@ val length : t -> int
 
 val add : t -> int -> Subscription.t -> unit
 (** [add t id s] inserts [s] at [id]'s sorted position: amortized
-    O(m) plus the counting-index insert when [id] exceeds every member
-    (fresh arrivals), plus an O(k·m) shift otherwise.
+    O(m) plus the counting-index insert (once the index exists) when
+    [id] exceeds every member (fresh arrivals), plus an O(k·m) shift
+    otherwise.
     @raise Invalid_argument if [id] is already a member or the arity
     differs. *)
 
@@ -47,14 +54,17 @@ val packed : t -> Flat.t
     O(1), no copy; valid until the next {!add} or {!remove}. *)
 
 val iter_matches : t -> Publication.t -> f:(int -> unit) -> unit
-(** {!Counting_matcher.iter_matches} over the members. *)
+(** {!Counting_matcher.iter_matches} over the members. The first call
+    builds the index ({!Counting_matcher.build}); later calls only
+    query it. *)
 
 val index_hits : t -> int
-(** {!Counting_matcher.inspections} of the members' index. *)
+(** {!Counting_matcher.inspections} of the members' index; 0 while no
+    match has built it. *)
 
 val consistent : t -> find:(int -> Subscription.t option) -> bool
 (** Invariant check, for the store's [validate]: ids strictly
     ascending; every member [id] has [find id = Some s] with [s]
     physically the member's subscription; the packed bounds equal
-    [Flat.pack] of the members; the matcher indexes exactly the
-    members. *)
+    [Flat.pack] of the members; the matcher, once built, indexes
+    exactly the members. *)

@@ -127,7 +127,10 @@ let alloc_slot t =
     slot
   end
 
-let add t ~id sub =
+(* [put] files one constrained range in its attribute's index:
+   {!Interval_index.Dyn.add} on the incremental path, the compaction-free
+   [append] while {!build} bulk-loads. *)
+let insert t ~id sub ~put =
   if Subscription.arity sub <> t.arity then
     invalid_arg "Counting_matcher.add: arity mismatch";
   if Hashtbl.mem t.entries id then
@@ -156,9 +159,10 @@ let add t ~id sub =
   else
     List.iter
       (fun attr ->
-        Interval_index.Dyn.add t.indexes.(attr) ~key:slot ~stamp
-          (Subscription.range sub attr))
+        put t.indexes.(attr) ~key:slot ~stamp (Subscription.range sub attr))
       constrained
+
+let add t ~id sub = insert t ~id sub ~put:Interval_index.Dyn.add
 
 let remove t ~id =
   match Hashtbl.find_opt t.entries id with
@@ -189,6 +193,19 @@ let remove t ~id =
       t.nfree <- t.nfree + 1
 
 let rebuild t = Array.iter Interval_index.Dyn.compact t.indexes
+
+(* One pass: every constrained range lands in its attribute's pending
+   buffer, then each index compacts once, where n {!add}s would compact
+   geometrically on the way. *)
+let build ~arity ids subs ~len =
+  if len < 0 || len > Array.length ids || len > Array.length subs then
+    invalid_arg "Counting_matcher.build: len";
+  let t = create ~arity () in
+  for i = 0 to len - 1 do
+    insert t ~id:ids.(i) subs.(i) ~put:Interval_index.Dyn.append
+  done;
+  rebuild t;
+  t
 
 (* Start a publication: bump the counter generation (O(1) logical
    reset of every counter) and empty the hit buffer. *)

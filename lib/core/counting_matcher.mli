@@ -13,7 +13,10 @@
 
     The structure is fully incremental: add/remove maintain the
     per-attribute indexes directly (amortized compaction rides the
-    mutation path), and the match path allocates no scratch state —
+    mutation path). A populated set is indexed in one pass by
+    {!build} instead, which is how a store's {!Active_set} builds its
+    index at its first match. The match path allocates no scratch
+    state —
     hit counters live in preallocated slot-indexed [int array]s reset
     in O(1) per publication by a generation stamp, and slots recycled
     across removals carry fresh stamps so stale index entries can
@@ -24,6 +27,16 @@ type t
 
 val create : arity:int -> unit -> t
 (** @raise Invalid_argument if [arity < 1]. *)
+
+val build : arity:int -> int array -> Subscription.t array -> len:int -> t
+(** [build ~arity ids subs ~len] indexes the first [len] pairs
+    [(ids.(i), subs.(i))] in one pass: every constrained range is
+    appended to its attribute's index and each index is compacted
+    once. It answers every query as [len]
+    {!add}s would — {!iter_matches} order aside, which is unspecified
+    either way. This is how {!Active_set} builds its index at its
+    first match. @raise Invalid_argument if [len] exceeds either
+    array, and as {!add} on an arity mismatch or a duplicate id. *)
 
 val arity : t -> int
 val size : t -> int

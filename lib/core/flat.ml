@@ -96,6 +96,25 @@ let equal a b =
 (* ------------------------------------------------------------------ *)
 (* Growable packs: rows inserted and deleted in place *)
 
+(* [Array.blit] cannot know an array holds immediates, so into a
+   major-heap destination it stores element by element through
+   [caml_modify]; a loop over a typed [int array] stores plainly. The
+   copy direction follows the overlap, like [Array.blit]. *)
+let blit_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  if
+    len < 0 || src_pos < 0 || dst_pos < 0
+    || src_pos > Array.length src - len
+    || dst_pos > Array.length dst - len
+  then invalid_arg "Flat.blit_ints";
+  if src_pos < dst_pos then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set dst (dst_pos + i) (Array.unsafe_get src (src_pos + i))
+    done
+
 (* The two planes of up to [cap] rows: lo at [0, n*m), hi at
    [cap*m, cap*m + n*m). Inserting or deleting a row shifts the rows
    after it in both planes; growing doubles [cap] and moves the hi
@@ -123,8 +142,8 @@ let rows_insert r ~at s =
   let m = r.rm in
   let hi = r.cap * m and base = at * m in
   let tail = (r.n - at) * m in
-  Array.blit r.buf base r.buf (base + m) tail;
-  Array.blit r.buf (hi + base) r.buf (hi + base + m) tail;
+  blit_ints r.buf base r.buf (base + m) tail;
+  blit_ints r.buf (hi + base) r.buf (hi + base + m) tail;
   for j = 0 to m - 1 do
     let iv = Subscription.range s j in
     r.buf.(base + j) <- Interval.lo iv;
@@ -137,8 +156,8 @@ let rows_delete r ~at =
   let m = r.rm in
   let hi = r.cap * m and base = at * m in
   let tail = (r.n - at - 1) * m in
-  Array.blit r.buf (base + m) r.buf base tail;
-  Array.blit r.buf (hi + base + m) r.buf (hi + base) tail;
+  blit_ints r.buf (base + m) r.buf base tail;
+  blit_ints r.buf (hi + base + m) r.buf (hi + base) tail;
   r.n <- r.n - 1
 
 let view r = { k = r.n; m = r.rm; hi = r.cap * r.rm; bounds = r.buf }

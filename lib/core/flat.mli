@@ -64,6 +64,12 @@ val equal : t -> t -> bool
 type rows
 (** A mutable packed set of [m]-attribute rows. *)
 
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+(** [blit_ints src src_pos dst dst_pos len]: {!Array.blit} for
+    [int array]s, overlap-safe, without the per-element write barrier
+    [Array.blit] pays into a major-heap destination.
+    @raise Invalid_argument if either range is out of bounds. *)
+
 val rows_create : m:int -> rows
 (** An empty buffer. @raise Invalid_argument if [m < 1]. *)
 

@@ -274,7 +274,7 @@ module Dyn = struct
   let maybe_compact t =
     if t.pn > 64 + (t.tn / 8) || t.dead > (t.tn + t.pn) / 2 then compact t
 
-  let add t ~key ~stamp iv =
+  let append t ~key ~stamp iv =
     if t.pn = Array.length t.pkey then begin
       let cap = 2 * t.pn in
       let grow a = let b = Array.make cap 0 in Array.blit a 0 b 0 t.pn; b in
@@ -287,7 +287,10 @@ module Dyn = struct
     t.pstamp.(t.pn) <- stamp;
     t.plo.(t.pn) <- Interval.lo iv;
     t.phi.(t.pn) <- Interval.hi iv;
-    t.pn <- t.pn + 1;
+    t.pn <- t.pn + 1
+
+  let add t ~key ~stamp iv =
+    append t ~key ~stamp iv;
     maybe_compact t
 
   let note_dead t =

@@ -70,6 +70,11 @@ module Dyn : sig
   (** Insert an interval under [(key, stamp)]. Amortized O(log n):
       usually a buffer append, occasionally a compaction. *)
 
+  val append : t -> key:int -> stamp:int -> Interval.t -> unit
+  (** {!add} without the compaction check: a bulk load appends every
+      entry, then calls {!compact} once, instead of compacting
+      geometrically on the way. *)
+
   val note_dead : t -> unit
   (** Tell the index one of its entries was retired (its [live] check
       now fails). Triggers compaction once retirees outnumber half the

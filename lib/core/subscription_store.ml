@@ -631,7 +631,8 @@ let[@problint.allow
     t.entries;
   (* Each shard's set holds exactly the active entries homed there by
      the routing function — ascending, aliasing their subscriptions,
-     packed and indexed — and, with the count check, every active
+     packed, and indexed once a match has built the index — and, with
+     the count check, every active
      entry sits in its home shard. The order vector agrees with the
      entry table. *)
   let ground_active =

@@ -21,8 +21,9 @@
     {2 Shards}
 
     The active set is partitioned by the {e first attribute} into
-    [shards] pieces, each an {!Active_set} (ids, boxed subscriptions,
-    packed bounds and counting index, all maintained in place). The
+    [shards] pieces, each an {!Active_set} (ids, boxed subscriptions
+    and packed bounds, maintained in place, plus a counting index
+    built by the shard's first match). The
     [domain0] range is split into [shards - 1] contiguous {e stripes}
     (the outer stripes extended to the unbounded sentinels so the
     stripes cover the whole line), plus one {e fallback} shard. An
@@ -169,7 +170,10 @@ val match_publication : t -> Publication.t -> id list
     subscriptions (active and covered), ascending. Only the shards
     whose region overlaps the publication's first-attribute value (or
     box range), plus the fallback, are consulted, each through its
-    counting index ({!Counting_matcher}); then only the covered
+    counting index ({!Counting_matcher}). A shard's first match builds
+    that index in one pass over its actives, and later mutations
+    maintain it, so a store that is never matched against (a broker's
+    per-neighbour sent-set) never pays for one. Then only the covered
     subscriptions recorded under a {e matched} coverer are tested — a
     point inside a (correctly) covered subscription necessarily lies
     inside one of its coverers. Under {!Group_policy} a {e wrongly}

@@ -11,7 +11,9 @@ type entry = { cls : Wire.cls; bytes : string }
 type t = {
   fd : Unix.file_descr;
   decoder : Codec.Decoder.t;
-  read_buf : bytes;
+  (* [Unix.read fd], applied once: each [recv] hands it to the decoder,
+     which reads straight into its own free tail. *)
+  read : bytes -> int -> int -> int;
   max_queue_bytes : int;
   (* Write queue as a two-list deque, oldest first in [front]; the
      head entry may be partially written ([head_off] bytes gone). *)
@@ -31,7 +33,7 @@ let create ?(max_queue_bytes = 1 lsl 20) fd =
   {
     fd;
     decoder = Codec.Decoder.create ();
-    read_buf = Bytes.create 65536;
+    read = Unix.read fd;
     max_queue_bytes;
     front = [];
     back = [];
@@ -136,11 +138,9 @@ let rec flush t =
 let recv t =
   if t.closed then `Eof
   else
-    match Unix.read t.fd t.read_buf 0 (Bytes.length t.read_buf) with
+    match Codec.Decoder.read_into t.decoder ~read:t.read with
     | 0 -> `Eof
-    | n ->
-        Codec.Decoder.feed t.decoder t.read_buf ~pos:0 ~len:n;
-        `Data n
+    | n -> `Data n
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         `Blocked
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Blocked

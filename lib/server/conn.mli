@@ -2,9 +2,10 @@
     the read side, a bounded write queue with class-aware shedding on
     the write side.
 
-    Reads tolerate arbitrary fragmentation — every chunk goes through
-    {!Probsub_store_log.Codec.Decoder}, so torn frames simply wait for
-    their remaining bytes. Writes queue whole frames; when the queue
+    Reads tolerate arbitrary fragmentation — every read lands straight
+    in the free tail of a {!Probsub_store_log.Codec.Decoder}, so torn
+    frames simply wait for their remaining bytes, and the connection
+    keeps no read buffer of its own. Writes queue whole frames; when the queue
     exceeds its byte budget the {e oldest sheddable} frames
     (publication forwards, notifications) are dropped first, and
     control traffic is never shed — a congested link loses data-plane
@@ -44,8 +45,12 @@ val flush : t -> [ `Ok | `Closed ]
     [`Closed] on a connection-fatal error (the fd is closed). *)
 
 val recv : t -> [ `Data of int | `Blocked | `Eof ]
-(** Read once into the decoder. [`Eof] covers both orderly shutdown
-    and connection-fatal errors. *)
+(** Read once, straight into the decoder's free tail
+    ({!Probsub_store_log.Codec.Decoder.read_into}): up to the 4 KiB
+    the decoder starts with, more only when one frame needs it. Drain
+    with {!next} after each [`Data]; a drained connection's decoder is
+    back at 4 KiB. [`Eof] covers both orderly shutdown and
+    connection-fatal errors. *)
 
 val next : t -> [ `Msg of int * Wire.msg | `Pending | `Corrupt of string ]
 (** Pop the next decoded message ([seq, msg]); [`Corrupt] is sticky —

@@ -447,13 +447,15 @@ end
 
 (* ---------------- incremental decoder ---------------- *)
 
-(* Streaming counterpart of [read_frame]: a socket read loop feeds
-   whatever chunk arrived and pops whole frames, with the partial tail
-   retained across calls — no whole-message buffering on the caller's
-   side, and torn frames simply wait for the missing bytes. The flat
-   [bytes] window is compacted in place: [pos] walks forward as frames
-   are consumed and the live suffix is blitted back to the front
-   before a refill would grow the buffer. *)
+(* Streaming counterpart of [read_frame]: a socket read loop reads
+   straight into the decoder's free tail and pops whole frames, with
+   the partial tail retained across calls — no whole-message buffering
+   on the caller's side, and torn frames simply wait for the missing
+   bytes. The flat [bytes] window is compacted in place: [pos] walks
+   forward as frames are consumed and the live suffix is blitted back
+   to the front when the frame at its head would not fit after it.
+   The window grows only when one frame needs more than it holds, and
+   drops back to [initial] bytes once drained. *)
 module Decoder = struct
   type item =
     | D_frame of { lsn : int; payload : string }
@@ -467,7 +469,8 @@ module Decoder = struct
     mutable dead : string option;  (* sticky corruption verdict *)
   }
 
-  let create () = { buf = Bytes.create 4096; pos = 0; len = 0; dead = None }
+  let initial = 4096
+  let create () = { buf = Bytes.create initial; pos = 0; len = 0; dead = None }
   let buffered t = t.len
 
   let compact t =
@@ -476,8 +479,9 @@ module Decoder = struct
       t.pos <- 0
     end
 
-  let reserve t extra =
-    let need = t.len + extra in
+  (* Make the window hold [need] live bytes from [pos] on: compact
+     first, grow (doubling) only if [need] exceeds the whole window. *)
+  let reserve t need =
     if t.pos + need > Bytes.length t.buf then begin
       compact t;
       if need > Bytes.length t.buf then begin
@@ -491,27 +495,38 @@ module Decoder = struct
       end
     end
 
-  let feed t src ~pos ~len =
-    if pos < 0 || len < 0 || pos + len > Bytes.length src then
-      invalid_arg "Codec.Decoder.feed: bad slice";
-    reserve t len;
-    Bytes.blit src pos t.buf (t.pos + t.len) len;
-    t.len <- t.len + len
-
   let feed_string t s =
-    feed t
-      (Bytes.unsafe_of_string s
-      [@problint.allow
-        unsafe
-          "zero-copy read-only view: feed only blits out of the source \
-           slice, never writes it"])
-      ~pos:0 ~len:(String.length s)
+    let n = String.length s in
+    reserve t (t.len + n);
+    Bytes.blit_string s 0 t.buf (t.pos + t.len) n;
+    t.len <- t.len + n
 
   let get_u32b b pos =
     Char.code (Bytes.get b pos)
     lor (Char.code (Bytes.get b (pos + 1)) lsl 8)
     lor (Char.code (Bytes.get b (pos + 2)) lsl 16)
     lor (Char.code (Bytes.get b (pos + 3)) lsl 24)
+
+  (* Room for at least one more byte, and for the whole head frame
+     once its header is in, so a large frame does not arrive through a
+     run of short reads — but at most double the window per read: a
+     header alone never makes the decoder allocate far more than the
+     bytes that actually arrived. *)
+  let head_need t =
+    let need = t.len + 1 in
+    if t.len < 8 then need
+    else
+      let flen = get_u32b t.buf t.pos in
+      max need (min (8 + flen) (2 * Bytes.length t.buf))
+
+  let read_into t ~read =
+    reserve t (head_need t);
+    let off = t.pos + t.len in
+    let room = Bytes.length t.buf - off in
+    let n = read t.buf off room in
+    if n < 0 || n > room then invalid_arg "Codec.Decoder.read_into: bad count";
+    t.len <- t.len + n;
+    n
 
   let next t =
     match t.dead with
@@ -537,7 +552,11 @@ module Decoder = struct
               | lsn, p ->
                   t.pos <- t.pos + 8 + flen;
                   t.len <- t.len - (8 + flen);
-                  if t.len = 0 then t.pos <- 0;
+                  if t.len = 0 then begin
+                    t.pos <- 0;
+                    if Bytes.length t.buf > initial then
+                      t.buf <- Bytes.create initial
+                  end;
                   D_frame
                     { lsn; payload = String.sub full p (String.length full - p) }
               | exception Bad reason ->

@@ -121,14 +121,19 @@ module Prim : sig
     string -> pos:int -> (Probsub_core.Subscription.t * int, string) result
 end
 
-(** Incremental frame decoder for byte streams: feed whatever chunk a
-    socket read produced, pop whole frames, and the partial tail stays
-    buffered until its bytes arrive — so transports never need
-    whole-frame reads. Agrees with {!read_frame} on every split of the
-    same byte string (fuzzed). Unlike WAL recovery, a stream has no
-    longest-valid-prefix to fall back to: the first damaged frame
+(** Incremental frame decoder for byte streams: a socket read lands
+    straight in the decoder's free tail ({!read_into}), whole frames
+    pop out, and the partial tail stays buffered until its bytes
+    arrive — so transports never need whole-frame reads or a read
+    buffer of their own. Agrees with {!read_frame} on every split of
+    the same byte string (fuzzed). Unlike WAL recovery, a stream has
+    no longest-valid-prefix to fall back to: the first damaged frame
     poisons the decoder permanently ([D_corrupt] is sticky) and the
-    connection must be torn down and re-established. *)
+    connection must be torn down and re-established.
+
+    The buffer starts at 4 KiB. It grows only when a single frame
+    needs more (or the caller reads again without draining), and goes
+    back to 4 KiB as soon as a {!next} leaves it empty. *)
 module Decoder : sig
   type t
 
@@ -142,12 +147,18 @@ module Decoder : sig
 
   val create : unit -> t
 
-  val feed : t -> bytes -> pos:int -> len:int -> unit
-  (** Append a chunk (copied out of [src] immediately, so the caller
-      may reuse its read buffer). @raise Invalid_argument on a bad
-      slice. *)
+  val read_into : t -> read:(bytes -> int -> int -> int) -> int
+  (** [read_into t ~read] calls [read buf off len] once, with
+      [buf.[off .. off + len - 1]] the decoder's free tail ([len >= 1];
+      once the head frame's header is in, large enough for that frame,
+      growing the window by at most a doubling per call), and
+      keeps the [n] bytes [read] reports filling there; returns [n].
+      Shaped for [Unix.read fd]: an exception from [read] propagates
+      and keeps nothing. @raise Invalid_argument if [n] is negative or
+      exceeds [len]. *)
 
   val feed_string : t -> string -> unit
+  (** Append a chunk held in memory (tests, traced replays). *)
 
   val next : t -> item
   (** Pop the next complete frame, if the buffer holds one. *)

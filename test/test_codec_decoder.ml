@@ -9,16 +9,24 @@ open Probsub_store_log
 
 let sub lo hi = Subscription.of_bounds [ (lo, hi) ]
 
-(* Reference: batch-walk a byte string with read_frame. *)
-let batch_frames s =
+(* Reference: batch-walk a byte string with read_frame, noting whether
+   the walk ended at the end of the bytes, on a torn tail, or on a
+   damaged frame. *)
+type walk_end = Walk_clean | Walk_torn | Walk_damaged
+
+let batch_walk s =
   let rec go pos acc =
     match Codec.read_frame s ~pos with
     | Codec.Frame { lsn; payload; next } -> go next ((lsn, payload) :: acc)
-    | Codec.Frame_truncated | Codec.Frame_bad_length | Codec.Frame_bad_crc
-    | Codec.Frame_undecodable _ ->
-        List.rev acc
+    | Codec.Frame_truncated ->
+        (List.rev acc, if pos = String.length s then Walk_clean else Walk_torn)
+    | Codec.Frame_bad_length | Codec.Frame_bad_crc | Codec.Frame_undecodable _
+      ->
+        (List.rev acc, Walk_damaged)
   in
   go 0 []
+
+let batch_frames s = fst (batch_walk s)
 
 (* Drain every complete frame currently buffered. *)
 let drain dec =
@@ -250,6 +258,136 @@ let test_prim_roundtrips () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "truncated subscription must error"
 
+(* qcheck: the socket path. A simulated socket hands the stream to
+   [read_into] in random read sizes, from 1 byte to past the 4 KiB
+   initial window, and frames run up to three times that window. The
+   frames must agree with the batch walk, a drained decoder holds no
+   bytes, and when a flipped byte damages a frame the decoder stops
+   exactly where the batch walk does — with a sticky [D_corrupt] if the
+   walk found damage rather than a torn tail. *)
+
+let gen_read_stream =
+  QCheck.Gen.(
+    let* payloads =
+      list_size (int_range 1 10)
+        (string_size ~gen:char
+           (frequency [ (3, int_range 0 64); (1, int_range 0 12_288) ]))
+    in
+    let s =
+      String.concat ""
+        (List.mapi (fun i p -> Codec.frame ~lsn:(i + 1) p) payloads)
+    in
+    let* reads = list_size (int_range 1 32) (int_range 1 5_000) in
+    let* flip = opt (int_range 0 (String.length s - 1)) in
+    return (s, reads, flip))
+
+let arb_read_stream =
+  QCheck.make
+    ~print:(fun (s, reads, flip) ->
+      Printf.sprintf "stream of %d bytes, reads [%s], flip %s"
+        (String.length s)
+        (String.concat ";" (List.map string_of_int reads))
+        (match flip with Some i -> string_of_int i | None -> "none"))
+    gen_read_stream
+
+let prop_read_into =
+  QCheck.Test.make ~name:"read_into agrees with read_frame" ~count:300
+    arb_read_stream (fun (s, reads, flip) ->
+      let s =
+        match flip with
+        | None -> s
+        | Some i ->
+            let b = Bytes.of_string s in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
+            Bytes.to_string b
+      in
+      let dec = Codec.Decoder.create () in
+      let cursor = ref 0 and sizes = ref reads in
+      let read buf off len =
+        let want =
+          match !sizes with
+          | w :: rest ->
+              sizes := rest @ [ w ];
+              w
+          | [] -> len
+        in
+        let n = min (min want len) (String.length s - !cursor) in
+        Bytes.blit_string s !cursor buf off n;
+        cursor := !cursor + n;
+        n
+      in
+      let got = ref [] in
+      while !cursor < String.length s do
+        ignore (Codec.Decoder.read_into dec ~read);
+        got := !got @ drain dec
+      done;
+      let frames, ending = batch_walk s in
+      let sticky () =
+        (match Codec.Decoder.next dec with
+        | Codec.Decoder.D_corrupt _ -> true
+        | Codec.Decoder.D_frame _ | Codec.Decoder.D_need_more -> false)
+        &&
+        (Codec.Decoder.feed_string dec (stream_of sample_records);
+         match Codec.Decoder.next dec with
+         | Codec.Decoder.D_corrupt _ -> true
+         | Codec.Decoder.D_frame _ | Codec.Decoder.D_need_more -> false)
+      in
+      !got = frames
+      &&
+      match ending with
+      | Walk_clean -> Codec.Decoder.buffered dec = 0
+      | Walk_torn -> Codec.Decoder.next dec = Codec.Decoder.D_need_more
+      | Walk_damaged -> sticky ())
+
+(* A connection on a socketpair takes a 1 MiB burst of small frames
+   and of frames far larger than its 4 KiB window, decodes every
+   message, and once drained holds well under 16 KiB. *)
+let test_conn_burst_shrinks () =
+  let module Conn = Probsub_server.Conn in
+  let module Wire = Probsub_server.Wire in
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rx = Conn.create a and tx = Conn.create ~max_queue_bytes:(1 lsl 30) b in
+  let big = String.make 20_000 'x' in
+  let sent = ref 0 and bytes = ref 0 and seq = ref 0 in
+  while !bytes < 1 lsl 20 do
+    let msg =
+      if !seq mod 16 = 0 then Wire.Repl_stream (Wire.R_frames { bytes = big })
+      else Wire.Frame_ack { seq = !seq }
+    in
+    bytes := !bytes + String.length (Wire.frame ~seq:!seq msg);
+    ignore (Conn.send_msg tx ~seq:!seq msg);
+    incr seq;
+    incr sent
+  done;
+  let received = ref 0 and rounds = ref 0 and in_order = ref true in
+  while !received < !sent && !rounds < 1_000_000 do
+    incr rounds;
+    (match Conn.flush tx with
+    | `Ok -> ()
+    | `Closed -> Alcotest.fail "sender closed");
+    (match Conn.recv rx with
+    | `Data _ | `Blocked -> ()
+    | `Eof -> Alcotest.fail "receiver saw EOF");
+    let rec drain () =
+      match Conn.next rx with
+      | `Msg (s, _) ->
+          if s <> !received then in_order := false;
+          incr received;
+          drain ()
+      | `Pending -> ()
+      | `Corrupt reason -> Alcotest.failf "corrupt: %s" reason
+    in
+    drain ()
+  done;
+  Alcotest.(check int) "every message" !sent !received;
+  Alcotest.(check bool) "in order" true !in_order;
+  let held = Obj.reachable_words (Obj.repr rx) * (Sys.word_size / 8) in
+  Conn.close rx;
+  Conn.close tx;
+  Alcotest.(check bool)
+    (Printf.sprintf "drained connection holds %d bytes (< 16 KiB)" held)
+    true (held < 16 * 1024)
+
 let suite =
   [
     Alcotest.test_case "whole stream" `Quick test_whole_stream;
@@ -261,4 +399,7 @@ let suite =
     Alcotest.test_case "prim roundtrips" `Quick test_prim_roundtrips;
     QCheck_alcotest.to_alcotest prop_split_invariant;
     QCheck_alcotest.to_alcotest prop_truncation_never_corrupt;
+    QCheck_alcotest.to_alcotest prop_read_into;
+    Alcotest.test_case "conn drains a burst back to 4 KiB" `Quick
+      test_conn_burst_shrinks;
   ]

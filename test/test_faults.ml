@@ -498,6 +498,55 @@ let test_chaos_tree () =
 let test_chaos_chain_durable () =
   chaos ~durable:true ~topology:(Topology.chain 6) ~crash_broker:3 ~seed:21 ()
 
+(* qcheck: the window against a list model — the remembered ids,
+   newest first, at most [capacity] of them. Capacities 1 to 64, ids
+   drawn from a narrow signed range (so repeats, evictions and
+   re-admissions interleave) plus the integer extremes, and [clear]. *)
+type dedup_op = D_admit of int | D_mem of int | D_clear
+
+let dedup_op_gen =
+  QCheck.Gen.(
+    let id =
+      frequency
+        [ (12, int_range (-40) 40); (1, oneofl [ min_int; max_int; 0 ]) ]
+    in
+    frequency
+      [
+        (8, map (fun i -> D_admit i) id);
+        (4, map (fun i -> D_mem i) id);
+        (1, return D_clear);
+      ])
+
+let prop_dedup_window_model =
+  QCheck.Test.make ~count:300 ~name:"dedup window matches a list model"
+    QCheck.(
+      make
+        ~print:(fun (cap, ops) ->
+          Printf.sprintf "capacity %d, %d ops" cap (List.length ops))
+        Gen.(pair (int_range 1 64) (list_size (int_range 0 400) dedup_op_gen)))
+    (fun (cap, ops) ->
+      let w = Dedup_window.create ~capacity:cap in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | D_admit id ->
+                let fresh = not (List.mem id !model) in
+                if fresh then
+                  model := List.filteri (fun i _ -> i < cap) (id :: !model);
+                Dedup_window.admit w id = fresh
+            | D_mem id -> Dedup_window.mem w id = List.mem id !model
+            | D_clear ->
+                model := [];
+                Dedup_window.clear w;
+                true
+          in
+          agrees
+          && Dedup_window.size w = List.length !model
+          && List.for_all (Dedup_window.mem w) !model)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "plan validation" `Quick test_plan_validation;
@@ -531,4 +580,5 @@ let suite =
     Alcotest.test_case "chaos on a tree" `Quick test_chaos_tree;
     Alcotest.test_case "chaos on a durable chain" `Quick
       test_chaos_chain_durable;
+    QCheck_alcotest.to_alcotest prop_dedup_window_model;
   ]

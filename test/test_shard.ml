@@ -314,6 +314,65 @@ let test_striping_spreads_and_confines () =
     (Printf.sprintf "fewer index hits than one shard (%d < %d)" sharded whole)
     true (sharded < whole)
 
+(* The mirror's random [Check]s mostly settle before RSPC draws
+   anything, so they cannot tell whether [check_publication] hands the
+   engine the caller's generator untouched. Here four actives tile a
+   box in a pinwheel around a 4x4 hole: no single active covers it,
+   every defined cell conflicts (MCS keeps all four) and Corollary 3
+   does not fire, so RSPC runs and the witness's coordinates and the
+   trial count depend on the caller's stream. A fifth active, disjoint
+   from the box, is pruned, so store rows and reference rows differ.
+   Each store's report must equal the engine run on the whole active
+   set under the same generator, witness included. *)
+let test_check_follows_caller_stream () =
+  let tiles =
+    [
+      sub [ (0, 11); (0, 7) ];
+      sub [ (12, 19); (0, 11) ];
+      sub [ (8, 19); (12, 19) ];
+      sub [ (0, 7); (8, 19) ];
+      sub [ (40, 60); (0, 30) ];
+    ]
+  in
+  let p = Publication.box (sub [ (0, 19); (0, 19) ]) in
+  let stores =
+    List.map
+      (fun shards ->
+        let t = Subscription_store.create ~shards ~domain0 ~arity:2 ~seed:3 () in
+        List.iter
+          (fun s ->
+            match Subscription_store.add t s with
+            | _, Subscription_store.Active -> ()
+            | _, Subscription_store.Covered _ -> Alcotest.fail "tiles stay active")
+          tiles;
+        t)
+      [ 1; 2; 7 ]
+  in
+  let active = Subscription_store.active (List.hd stores) in
+  let witnesses = ref [] in
+  for seed = 1 to 40 do
+    let reference =
+      Engine.check_publication ~config:Engine.default_config
+        ~rng:(Prng.of_int seed) p
+        (Array.of_list (List.map snd active))
+    in
+    (match reference.Engine.verdict with
+    | Engine.Not_covered (Engine.Point w) ->
+        witnesses := (Array.to_list w, reference.Engine.iterations) :: !witnesses
+    | _ -> ());
+    List.iter
+      (fun t ->
+        let r = Subscription_store.check_publication t ~rng:(Prng.of_int seed) p in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d: report follows the caller's stream" seed)
+          true
+          (report_equal ~active ~p reference r))
+      stores
+  done;
+  Alcotest.(check bool)
+    "RSPC found point witnesses that differ across streams" true
+    (List.length (List.sort_uniq compare !witnesses) >= 10)
+
 let suite =
   [
     Alcotest.test_case "fallback shard covers striped subs" `Quick
@@ -322,4 +381,6 @@ let suite =
       test_striping_spreads_and_confines;
     QCheck_alcotest.to_alcotest prop_sharded_replay;
     QCheck_alcotest.to_alcotest prop_mirror;
+    Alcotest.test_case "check follows the caller's RSPC stream" `Quick
+      test_check_follows_caller_stream;
   ]
