@@ -810,13 +810,7 @@ let loadgen_cmd =
       let module L = Probsub_server.Loadgen in
       let rng = Prng.of_int seed in
       let clients =
-        List.concat
-          (List.init brokers (fun b ->
-               List.init clients_per (fun j ->
-                   L.connect_client ~sock_dir ~broker:b
-                     ~client:((b * 100) + j + 1)
-                     ~seed:((seed * 7919) + (b * 100) + j)
-                     ())))
+        L.connect_clients ~sock_dir ~brokers ~per_broker:clients_per ~seed
       in
       Fun.protect
         ~finally:(fun () -> List.iter L.close_client clients)
@@ -879,8 +873,10 @@ let chaos_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE"
           ~doc:
-            "Also write the result as JSON (the BENCH_serve schema, or \
-             BENCH_failover with $(b,--failover)).")
+            "Also write the result as JSON: the keys of \
+             $(i,BENCH_serve.json) ($(i,BENCH_failover.json) with \
+             $(b,--failover)) less the bench's own $(i,bench) and \
+             $(i,fast) and the failover bench's phase A fields.")
   in
   let failover =
     Arg.(
@@ -896,60 +892,19 @@ let chaos_cmd =
     let module H = Probsub_server.Harness in
     match H.config ~seed ~pubs ~brokers () with
     | exception Invalid_argument msg -> `Error (false, msg)
-    | cc when failover ->
+    | cc ->
         let r =
-          try H.run_failover cc
+          try if failover then H.run_failover cc else H.run cc
           with H.Error msg -> runtime_errorf "chaos: %s" msg
         in
-        Format.printf "@[<v>%a@]@." H.pp_failover_result r;
-        Option.iter
-          (fun path ->
-            write_file path
-              (Printf.sprintf
-                 "{\n\
-                 \  \"connections\": %d,\n\
-                 \  \"pubs_per_sec\": %.1f,\n\
-                 \  \"p50_ms\": %.3f,\n\
-                 \  \"p99_ms\": %.3f,\n\
-                 \  \"detection_seconds\": %.3f,\n\
-                 \  \"outage_seconds\": %.3f,\n\
-                 \  \"failover_reconnects\": %d,\n\
-                 \  \"verdicts_match\": %b,\n\
-                 \  \"clean\": %b\n\
-                  }"
-                 r.H.connections r.H.post.Probsub_server.Loadgen.pubs_per_sec
-                 r.H.post.Probsub_server.Loadgen.p50_ms
-                 r.H.post.Probsub_server.Loadgen.p99_ms r.H.detection_seconds
-                 r.H.outage_seconds r.H.failover_reconnects
-                 r.H.post.Probsub_server.Loadgen.verdicts_match r.H.clean))
-          json;
-        if not r.H.clean then
-          runtime_errorf "chaos: audit failed after failover (seed %d)" seed;
-        `Ok ()
-    | cc ->
-        let r = try H.run cc with H.Error msg -> runtime_errorf "chaos: %s" msg in
         Format.printf "@[<v>%a@]@." H.pp_result r;
         Option.iter
-          (fun path ->
-            write_file path
-              (Printf.sprintf
-                 "{\n\
-                 \  \"connections\": %d,\n\
-                 \  \"pubs_per_sec\": %.1f,\n\
-                 \  \"p50_ms\": %.3f,\n\
-                 \  \"p99_ms\": %.3f,\n\
-                 \  \"recovery_seconds\": %.3f,\n\
-                 \  \"verdicts_match\": %b,\n\
-                 \  \"clean\": %b\n\
-                  }"
-                 r.H.connections r.H.post.Probsub_server.Loadgen.pubs_per_sec
-                 r.H.post.Probsub_server.Loadgen.p50_ms
-                 r.H.post.Probsub_server.Loadgen.p99_ms r.H.recovery_seconds
-                 r.H.post.Probsub_server.Loadgen.verdicts_match r.H.clean))
+          (fun path -> write_file path ("{\n" ^ H.json_fields cc r ^ "\n}\n"))
           json;
         if not r.H.clean then
-          runtime_errorf
-            "chaos: audit failed after kill -9 recovery (seed %d)" seed;
+          runtime_errorf "chaos: audit failed after %s (seed %d)"
+            (if failover then "failover" else "kill -9 recovery")
+            seed;
         `Ok ()
   in
   Cmd.v

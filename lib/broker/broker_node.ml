@@ -44,12 +44,6 @@ type t = {
      has committed to. On a durable broker it is journalled, so a
      restarted ex-primary remembers it was superseded. *)
   mutable fence : int;
-  (* Replication observability counters; monotone, diffed by the
-     metrics layer exactly like [match_counters]. *)
-  mutable c_failovers : int;
-  mutable c_repl_frames : int;
-  mutable c_repl_lag : int; (* high-water mark, hence monotone *)
-  mutable c_reconnects : int;
 }
 
 let id t = t.id
@@ -75,13 +69,6 @@ let match_counters t =
   let st = Subscription_store.stats t.routing in
   (st.Subscription_store.covered_scans, st.Subscription_store.index_hits)
 
-let repl_counters t =
-  (t.c_failovers, t.c_repl_frames, t.c_repl_lag, t.c_reconnects)
-
-let note_failover t = t.c_failovers <- t.c_failovers + 1
-let note_repl_frames t ~n = t.c_repl_frames <- t.c_repl_frames + n
-let note_repl_lag t ~lag = if lag > t.c_repl_lag then t.c_repl_lag <- lag
-let note_failover_reconnect t = t.c_reconnects <- t.c_reconnects + 1
 let fence_epoch t = t.fence
 
 (* Origin <-> (okind, oarg) for durable bindings; the store-log layer
@@ -272,10 +259,6 @@ let create ?(use_advertisements = false) ?lease_ttl ?(dedup_capacity = 4096)
       seen_pubs = Dedup_window.create ~capacity:dedup_capacity;
       link_mark = Hashtbl.create 8;
       fence;
-      c_failovers = 0;
-      c_repl_frames = 0;
-      c_repl_lag = 0;
-      c_reconnects = 0;
     }
   in
   (match recovered with

@@ -151,27 +151,6 @@ val match_counters : t -> int * int
     around a [handle] call to attribute matching work to one
     message. *)
 
-val repl_counters : t -> int * int * int * int
-(** [(failovers, repl_frames_shipped, repl_lag_lsns,
-    reconnects_after_failover)] — replication observability, monotone
-    like {!match_counters} (the lag entry is a high-water mark). Bumped
-    by the server layer via the [note_*] functions below; diff around
-    events to attribute them, or read directly for absolute values. *)
-
-val note_failover : t -> unit
-(** This broker just promoted itself from standby to primary. *)
-
-val note_repl_frames : t -> n:int -> unit
-(** [n] more WAL frames were shipped to (or applied by) a standby. *)
-
-val note_repl_lag : t -> lag:int -> unit
-(** A replication ack showed the standby [lag] LSNs behind; recorded
-    as a high-water mark. *)
-
-val note_failover_reconnect : t -> unit
-(** A client resumed its session against this freshly promoted
-    primary. *)
-
 val fence_epoch : t -> int
 (** The highest failover epoch this broker identity has committed to
     (0 when never fenced). Recovered from the WAL on a durable

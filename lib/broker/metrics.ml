@@ -15,10 +15,6 @@ type t = {
   mutable crashes : int;
   mutable match_scans : int;
   mutable match_index_hits : int;
-  mutable failovers : int;
-  mutable repl_frames_shipped : int;
-  mutable repl_lag_lsns : int;
-  mutable reconnects_after_failover : int;
 }
 
 let create () =
@@ -39,10 +35,6 @@ let create () =
     crashes = 0;
     match_scans = 0;
     match_index_hits = 0;
-    failovers = 0;
-    repl_frames_shipped = 0;
-    repl_lag_lsns = 0;
-    reconnects_after_failover = 0;
   }
 
 let reset t =
@@ -61,11 +53,7 @@ let reset t =
   t.lease_expiries <- 0;
   t.crashes <- 0;
   t.match_scans <- 0;
-  t.match_index_hits <- 0;
-  t.failovers <- 0;
-  t.repl_frames_shipped <- 0;
-  t.repl_lag_lsns <- 0;
-  t.reconnects_after_failover <- 0
+  t.match_index_hits <- 0
 
 let total_messages t =
   t.subscribe_msgs + t.unsubscribe_msgs + t.advertise_msgs + t.publish_msgs
@@ -78,13 +66,11 @@ let pp ppf t =
      suppressed subs: %d@,duplicate drops: %d@,dropped msgs:    %d@,\
      duplicated msgs: %d@,retransmissions: %d@,lease renewals:  %d@,\
      lease expiries:  %d@,crashes:         %d@,match scans:     %d@,\
-     match idx hits:  %d@,failovers:       %d@,repl frames:     %d@,\
-     repl lag lsns:   %d@,failover reconn: %d@]"
+     match idx hits:  %d@]"
     t.subscribe_msgs t.unsubscribe_msgs t.advertise_msgs t.publish_msgs
     t.ack_msgs t.notifications t.suppressed_subscriptions t.duplicate_drops
     t.dropped_msgs t.duplicated_msgs t.retransmissions t.lease_renewals
-    t.lease_expiries t.crashes t.match_scans t.match_index_hits t.failovers
-    t.repl_frames_shipped t.repl_lag_lsns t.reconnects_after_failover
+    t.lease_expiries t.crashes t.match_scans t.match_index_hits
 
 let equal a b =
   a.subscribe_msgs = b.subscribe_msgs
@@ -103,7 +89,3 @@ let equal a b =
   && a.crashes = b.crashes
   && a.match_scans = b.match_scans
   && a.match_index_hits = b.match_index_hits
-  && a.failovers = b.failovers
-  && a.repl_frames_shipped = b.repl_frames_shipped
-  && a.repl_lag_lsns = b.repl_lag_lsns
-  && a.reconnects_after_failover = b.reconnects_after_failover

@@ -37,15 +37,6 @@ type t = {
       (** Counting-index hits processed by routing stores while
           matching publications — the indexed data plane's unit of
           work, the quantity that replaces linear active scans. *)
-  mutable failovers : int;
-      (** Standby promotions to primary (epoch bumps with takeover). *)
-  mutable repl_frames_shipped : int;
-      (** WAL frames streamed from primaries to their standbys. *)
-  mutable repl_lag_lsns : int;
-      (** High-water mark of a standby's LSN lag behind its primary,
-          as reported by replication acks. *)
-  mutable reconnects_after_failover : int;
-      (** Client sessions resumed against a freshly promoted primary. *)
 }
 
 val create : unit -> t

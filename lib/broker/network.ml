@@ -244,21 +244,12 @@ let process_broker t ~time ~dst ~origin ~payload =
         false
   in
   let scans0, hits0 = Broker_node.match_counters node in
-  let fo0, frames0, lag0, reconn0 = Broker_node.repl_counters node in
   let actions = Broker_node.handle node ~now:time ~origin payload in
   let scans1, hits1 = Broker_node.match_counters node in
-  let fo1, frames1, lag1, reconn1 = Broker_node.repl_counters node in
   t.metrics.Metrics.match_scans <-
     t.metrics.Metrics.match_scans + (scans1 - scans0);
   t.metrics.Metrics.match_index_hits <-
     t.metrics.Metrics.match_index_hits + (hits1 - hits0);
-  t.metrics.Metrics.failovers <- t.metrics.Metrics.failovers + (fo1 - fo0);
-  t.metrics.Metrics.repl_frames_shipped <-
-    t.metrics.Metrics.repl_frames_shipped + (frames1 - frames0);
-  t.metrics.Metrics.repl_lag_lsns <-
-    t.metrics.Metrics.repl_lag_lsns + (lag1 - lag0);
-  t.metrics.Metrics.reconnects_after_failover <-
-    t.metrics.Metrics.reconnects_after_failover + (reconn1 - reconn0);
   (match payload with
   | Message.Subscribe _ when duplicate ->
       t.metrics.Metrics.duplicate_drops <- t.metrics.Metrics.duplicate_drops + 1

@@ -5,10 +5,9 @@
     ({!Counting_matcher}): given a publication value [v], enumerate the
     identifiers of every stored interval containing [v] in
     O(log n + answers). The tree is static; {!build} constructs it from
-    a snapshot in O(n log n). Mutating callers keep a dirty flag and
-    rebuild lazily — subscription tables change far more slowly than
-    publications arrive (§1), so amortized rebuilds are the right
-    trade-off and keep the structure simple and obviously correct. *)
+    a snapshot. Mutating callers use {!Dyn} below, which absorbs
+    additions and removals and folds them into a fresh static tree by
+    amortized compaction on the mutation path. *)
 
 type t
 
@@ -34,9 +33,9 @@ val overlapping : t -> Interval.t -> int list
 (** [overlapping t q] lists the ids of all stored intervals sharing at
     least one point with [q], in unspecified order, in
     O(log n + answers) — the range generalisation of {!stab} ({!stab}
-    [v] = [overlapping] on the degenerate interval [v,v]). The sharded
-    store's shard map uses it to find every stripe a subscription or a
-    box publication can overlap. *)
+    [v] = [overlapping] on the degenerate interval [v,v]).
+    {!Subscription_store}'s stripe index uses it to find every stripe a
+    box can overlap. *)
 
 val iter_overlapping : t -> Interval.t -> f:(int -> unit) -> unit
 (** Allocation-light variant of {!overlapping}. *)

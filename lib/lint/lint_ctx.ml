@@ -19,9 +19,9 @@ let make ?(core_or_broker = false) ?(in_lib = false) ?(hot = false) ~file () =
    a WAL must be bit-identical to the run that wrote it, so the durable
    layer is in scope — audited per-use [@problint.allow] annotations,
    never a path exemption), and library code when it lives under lib/.
-   The sharded fabric (lib/core/shard_store.ml) sits squarely inside
-   the core scope on purpose: its flat-store equivalence contract is a
-   determinism claim, so Hashtbl-order and partiality findings there
+   Sharding (lib/core/subscription_store.ml) sits squarely inside the
+   core scope on purpose: its one-shard/n-shard equivalence contract is
+   a determinism claim, so Hashtbl-order and partiality findings there
    are never waved through by path. lib/server is in scope too, even
    though a socket server is clock-driven by nature: confining the wall
    clock to the single audited read in clock.ml is exactly the property

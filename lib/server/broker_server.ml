@@ -93,15 +93,34 @@ type role = Primary | Standby | Fenced
 
 (* Outgoing link to one neighbour. The Reliable_link sender and the
    sequence counter belong to our process session and survive
-   reconnects; the Conn dies and is remade under backoff. *)
+   reconnects; the link dies and is remade under backoff. *)
 type peer = {
   p_id : int;
   backoff : Backoff.t;
   sender : (Message.payload, Event_queue.handle) Reliable_link.sender;
-  mutable p_conn : Conn.t option;
+  mutable p_link : link option;
   mutable welcomed : bool;  (* Welcome received: resume done, may send *)
   mutable next_seq : int;
   mutable reconnect_armed : bool;
+}
+
+(* Who is at the far end: accepted connections start [Unknown] until
+   their Hello; [To_peer] is a link we dialed to a neighbour (its
+   Welcome and acks come back on it), [Uplink] the standby's link to
+   its primary. *)
+and who =
+  | Unknown
+  | From_peer of int
+  | From_client of int
+  | From_standby
+  | To_peer of peer
+  | Uplink
+
+(* Every connection the loop services. *)
+and link = {
+  conn : Conn.t;
+  mutable who : who;
+  mutable seq : int;  (* our next outbound seq on this connection *)
 }
 
 (* Receive-side state per remote identity — NOT per connection: the
@@ -114,24 +133,11 @@ type recv_state = {
   mutable r_last_seen : int;
 }
 
-type who = Unknown | From_peer of int | From_client of int | From_standby
-
-type inbound = {
-  conn : Conn.t;
-  mutable who : who;
-  mutable in_seq : int;  (* our outbound seq on this connection *)
-}
-
 type stats = {
-  mutable accepted : int;
   mutable frames_in : int;
   mutable frames_out : int;
   mutable retransmits : int;
-  mutable gave_up : int;
-  mutable refresh_waves : int;
-  mutable sweeps : int;
   mutable sheds : int;
-  mutable corrupt_conns : int;
 }
 
 type t = {
@@ -141,10 +147,10 @@ type t = {
   mutable listen_fd : Unix.file_descr option;
   timers : timer Event_queue.t;
   peers : peer array;
-  mutable inbound : inbound list;
+  mutable inbound : link list;
   peer_recv : (int, recv_state) Hashtbl.t;
   client_recv : (int, recv_state) Hashtbl.t;
-  client_conn : (int, inbound) Hashtbl.t;
+  client_conn : (int, link) Hashtbl.t;
   stats : stats;
   (* Failover state. [epoch] is this identity's fencing epoch as this
      process believes it; [raw_device] is the untapped durable device
@@ -154,12 +160,10 @@ type t = {
   raw_device : Device.t option;
   (* Primary side: the WAL shipper and the attached standby. *)
   mutable ship : Repl.Ship.t option;
-  mutable standby : inbound option;
+  mutable standby : link option;
   mutable standby_synced : bool;
-  mutable last_shipped : int;
   (* Standby side: the dialed link to the primary and the applier. *)
-  mutable up_conn : Conn.t option;
-  mutable up_seq : int;
+  mutable up : link option;
   mutable apply : Repl.Apply.t option;
   mutable last_contact : float;
 }
@@ -191,6 +195,15 @@ let arm t ~delay timer = Event_queue.push t.timers ~time:(now () +. delay) timer
 let arm_cancelable t ~delay timer =
   Event_queue.push_cancelable t.timers ~time:(now () +. delay) timer
 
+(* Every frame the server queues goes through [emit], which counts it
+   ([frames] > 1 for a Notify batch) and the sheds it caused. *)
+let emit t c ~cls ~frames bytes =
+  t.stats.frames_out <- t.stats.frames_out + frames;
+  t.stats.sheds <- t.stats.sheds + Conn.send c ~cls bytes
+
+let emit_msg t c ~seq msg =
+  emit t c ~cls:(Wire.class_of msg) ~frames:1 (Wire.frame ~seq msg)
+
 (* Send one message to a peer. Acked messages are tracked for
    retransmission whether or not the link is up — if it is down, the
    retry budget burns against the outage and the refresh waves repair
@@ -209,17 +222,16 @@ let send_peer t peer msg =
     Reliable_link.track peer.sender ~seq ~item:payload
       ~timer:(arm_cancelable t ~delay:t.cfg.rto (T_retransmit (peer.p_id, seq)))
   end;
-  match peer.p_conn with
-  | Some c when peer.welcomed || not (Wire.acked msg) ->
-      t.stats.frames_out <- t.stats.frames_out + 1;
-      t.stats.sheds <- t.stats.sheds + Conn.send_msg c ~seq msg
+  match peer.p_link with
+  | Some l when peer.welcomed || not (Wire.acked msg) ->
+      emit_msg t l.conn ~seq msg
   | Some _ | None -> ()
 
-let send_inbound t ic msg =
-  let seq = ic.in_seq in
-  ic.in_seq <- seq + 1;
-  t.stats.frames_out <- t.stats.frames_out + 1;
-  t.stats.sheds <- t.stats.sheds + Conn.send_msg ic.conn ~seq msg
+(* Send on a connection's own sequence. *)
+let send t l msg =
+  let seq = l.seq in
+  l.seq <- seq + 1;
+  emit_msg t l.conn ~seq msg
 
 (* Notify fan-out is batched per connection: one matched publication
    can notify many subscriptions of the same client, and queuing each
@@ -252,8 +264,8 @@ let apply_actions t actions =
                     batches := b :: !batches;
                     b
               in
-              let seq = ic.in_seq in
-              ic.in_seq <- seq + 1;
+              let seq = ic.seq in
+              ic.seq <- seq + 1;
               Buffer.add_string buf
                 (Wire.frame ~seq (Wire.Notify { client; key; pub_id }));
               incr count
@@ -261,10 +273,7 @@ let apply_actions t actions =
     actions;
   List.iter
     (fun (_, ic, buf, count) ->
-      t.stats.frames_out <- t.stats.frames_out + !count;
-      t.stats.sheds <-
-        t.stats.sheds
-        + Conn.send ic.conn ~cls:Wire.Sheddable (Buffer.contents buf))
+      emit t ic.conn ~cls:Wire.Sheddable ~frames:!count (Buffer.contents buf))
     (List.rev !batches)
 
 let handle_payload t ~origin payload =
@@ -295,20 +304,17 @@ let try_connect t peer =
   match connect_unix path with
   | Some fd ->
       let c = Conn.create ~max_queue_bytes:t.cfg.max_queue_bytes fd in
-      peer.p_conn <- Some c;
+      peer.p_link <- Some { conn = c; who = To_peer peer; seq = 0 };
       peer.welcomed <- false;
       (* Hello rides seq 0 outside the acked space. *)
-      t.stats.frames_out <- t.stats.frames_out + 1;
-      t.stats.sheds <-
-        t.stats.sheds
-        + Conn.send_msg c ~seq:0
-            (Wire.Hello
-               {
-                 role = Wire.Peer_role t.cfg.id;
-                 session = t.session;
-                 last_seen = 0;
-                 epoch = 0;
-               })
+      emit_msg t c ~seq:0
+        (Wire.Hello
+           {
+             role = Wire.Peer_role t.cfg.id;
+             session = t.session;
+             last_seen = 0;
+             epoch = 0;
+           })
   | None -> (
       match Backoff.next_delay peer.backoff with
       | Some delay ->
@@ -317,8 +323,8 @@ let try_connect t peer =
       | None -> () (* budget exhausted: the peer stays down *))
 
 let drop_peer_conn t peer =
-  (match peer.p_conn with Some c -> Conn.close c | None -> ());
-  peer.p_conn <- None;
+  (match peer.p_link with Some l -> Conn.close l.conn | None -> ());
+  peer.p_link <- None;
   peer.welcomed <- false;
   if not peer.reconnect_armed then begin
     match Backoff.next_delay peer.backoff with
@@ -342,11 +348,8 @@ let handle_welcome t peer ~last_seen =
         | None -> ()
       end
       else
-        match peer.p_conn with
-        | Some c ->
-            t.stats.frames_out <- t.stats.frames_out + 1;
-            t.stats.sheds <-
-              t.stats.sheds + Conn.send_msg c ~seq (Wire.Payload payload)
+        match peer.p_link with
+        | Some l -> emit_msg t l.conn ~seq (Wire.Payload payload)
         | None -> ())
     (Reliable_link.unacked peer.sender)
 
@@ -354,7 +357,7 @@ let handle_welcome t peer ~last_seen =
    (the previous ack may have been lost with the old connection), then
    dedup against the sender's session window. *)
 let admit_acked t ic rs ~seq =
-  send_inbound t ic (Wire.Frame_ack { seq });
+  send t ic (Wire.Frame_ack { seq });
   match Reliable_link.admit rs.r_window ~seq with
   | `Duplicate -> false
   | `Fresh ->
@@ -377,8 +380,8 @@ let demote t ~epoch =
   t.listen_fd <- None;
   Array.iter
     (fun peer ->
-      (match peer.p_conn with Some c -> Conn.close c | None -> ());
-      peer.p_conn <- None;
+      (match peer.p_link with Some l -> Conn.close l.conn | None -> ());
+      peer.p_link <- None;
       peer.welcomed <- false)
     t.peers;
   List.iter (fun ic -> Conn.close ic.conn) t.inbound;
@@ -398,24 +401,87 @@ let handle_standby_repl t ic repl =
   match (t.ship, repl) with
   | Some ship, Wire.R_hello { from_lsn } ->
       List.iter
-        (fun ev -> send_inbound t ic (event_to_msg ev))
+        (fun ev -> send t ic (event_to_msg ev))
         (Repl.Ship.resume ship ~from_lsn);
       t.standby <- Some ic;
       t.standby_synced <- true;
-      send_inbound t ic
+      send t ic
         (Wire.Repl_stream
            (Wire.R_heartbeat
               { epoch = t.epoch; next_lsn = Repl.Ship.next_lsn ship }))
-  | Some ship, Wire.R_ack { applied_lsn } ->
-      Broker_node.note_repl_lag t.node
-        ~lag:(max 0 (Repl.Ship.next_lsn ship - applied_lsn))
-  | None, (Wire.R_hello _ | Wire.R_ack _)
+  | _, Wire.R_ack _ -> () (* on the wire for a future lease or semi-sync ack *)
+  | None, Wire.R_hello _
   | _, (Wire.R_frames _ | Wire.R_snapshot _ | Wire.R_heartbeat _) ->
       () (* no shipper (no wal_dir), or stream traffic sent the wrong way *)
 
-let handle_msg t ic (seq, msg) =
+(* ---- standby side: uplink to the primary, and promotion ---- *)
+
+let drop_up t =
+  (match t.up with Some l -> Conn.close l.conn | None -> ());
+  t.up <- None
+
+let dial_primary t path =
+  match connect_unix path with
+  | Some fd ->
+      let c = Conn.create ~max_queue_bytes:t.cfg.max_queue_bytes fd in
+      let l = { conn = c; who = Uplink; seq = 0 } in
+      t.up <- Some l;
+      send t l
+        (Wire.Hello
+           {
+             role = Wire.Standby_role t.cfg.id;
+             session = t.session;
+             last_seen = 0;
+             epoch = t.epoch;
+           })
+  | None -> () (* primary down; the watchdog tick redials *)
+
+(* Feed one replication event into the standby's device; ack progress,
+   or tear the uplink down on stream-position disagreement so the
+   re-handshake resumes from our durable position. *)
+let apply_up_event t event =
+  match t.apply with
+  | None -> ()
+  | Some apply -> (
+      match Repl.Apply.apply apply event with
+      | Ok applied_lsn -> (
+          t.last_contact <- now ();
+          match t.up with
+          | Some l -> send t l (Wire.Repl_stream (Wire.R_ack { applied_lsn }))
+          | None -> ())
+      | Error _ -> drop_up t)
+
+(* Everything the standby hears on its uplink: the Welcome that opens
+   the stream, then frames/rebases to apply and heartbeats to feed the
+   failover detector. *)
+let handle_up_msg t msg =
+  match msg with
+  | Wire.Welcome { epoch; _ } -> (
+      t.last_contact <- now ();
+      if epoch > t.epoch then t.epoch <- epoch;
+      match (t.up, t.apply) with
+      | Some l, Some apply ->
+          send t l
+            (Wire.Repl_stream
+               (Wire.R_hello { from_lsn = Repl.Apply.next_lsn apply }))
+      | _ -> ())
+  | Wire.Repl_stream (Wire.R_heartbeat { epoch; next_lsn = _ }) ->
+      t.last_contact <- now ();
+      if epoch > t.epoch then t.epoch <- epoch
+  | Wire.Repl_stream (Wire.R_frames { bytes }) ->
+      apply_up_event t (Repl.E_frames bytes)
+  | Wire.Repl_stream (Wire.R_snapshot { snap; wal; next_lsn }) ->
+      apply_up_event t (Repl.E_snapshot { snap; wal; next_lsn })
+  | Wire.Bye -> drop_up t
+  | Wire.Hello _ | Wire.Payload _ | Wire.Notify _ | Wire.Frame_ack _
+  | Wire.Repl_stream (Wire.R_hello _ | Wire.R_ack _) ->
+      () (* not primary→standby traffic *)
+
+(* Every frame the pump hands the server, on any connection. *)
+let handle_msg t ic seq msg =
   t.stats.frames_in <- t.stats.frames_in + 1;
   match (ic.who, msg) with
+  | Uplink, _ -> handle_up_msg t msg
   | Unknown, Wire.Hello { role; session; last_seen = _; epoch } -> (
       (* The fence: any same-identity greeter (standby probe or client)
          that has seen a higher epoch proves we were superseded. Peer
@@ -426,7 +492,7 @@ let handle_msg t ic (seq, msg) =
       | Wire.Standby_role sid ->
           if sid = t.cfg.id && t.role = Primary then begin
             ic.who <- From_standby;
-            send_inbound t ic
+            send t ic
               (Wire.Welcome
                  { session = t.session; last_seen = 0; epoch = t.epoch })
           end
@@ -449,13 +515,9 @@ let handle_msg t ic (seq, msg) =
           | Wire.Peer_role p -> ic.who <- From_peer p
           | Wire.Client_role c ->
               ic.who <- From_client c;
-              Hashtbl.replace t.client_conn c ic;
-              (* A client that last spoke to a lower epoch is resuming
-                 across a failover. *)
-              if Broker_node.fence_epoch t.node > 0 && epoch < t.epoch then
-                Broker_node.note_failover_reconnect t.node
+              Hashtbl.replace t.client_conn c ic
           | Wire.Standby_role _ -> ());
-          send_inbound t ic
+          send t ic
             (Wire.Welcome
                { session = t.session; last_seen = rs.r_last_seen;
                  epoch = t.epoch }))
@@ -476,96 +538,21 @@ let handle_msg t ic (seq, msg) =
         else true
       in
       if process then handle_payload t ~origin:(Message.Client c) payload
-  | From_peer p, Wire.Frame_ack { seq = acked } -> (
+  | To_peer peer, Wire.Frame_ack { seq = acked } -> (
       (* The remote acks what we sent on OUR outgoing link to it. *)
-      match find_peer t p with
-      | Some peer -> (
-          match Reliable_link.ack peer.sender ~seq:acked with
-          | Some h -> ignore (Event_queue.cancel t.timers h)
-          | None -> ())
+      match Reliable_link.ack peer.sender ~seq:acked with
+      | Some h -> ignore (Event_queue.cancel t.timers h)
       | None -> ())
-  | From_peer p, Wire.Welcome { last_seen; session = _; epoch = _ } -> (
-      (* Welcome answered on the socket we opened: the accept side of
-         this conn object is their reply channel. The peer's epoch
-         belongs to its own identity and is not compared with ours. *)
-      match find_peer t p with
-      | Some peer -> handle_welcome t peer ~last_seen
-      | None -> ())
+  | To_peer peer, Wire.Welcome { last_seen; session = _; epoch = _ } ->
+      (* The peer's epoch belongs to its own identity and is not
+         compared with ours. *)
+      handle_welcome t peer ~last_seen
   | _, Wire.Bye -> Conn.close ic.conn
+  | To_peer _, Wire.Payload _
   | ( _,
       ( Wire.Hello _ | Wire.Welcome _ | Wire.Notify _ | Wire.Frame_ack _
       | Wire.Repl_stream _ ) ) ->
       () (* role mismatch or client-bound traffic: drop *)
-
-(* ---- standby side: uplink to the primary, and promotion ---- *)
-
-let send_up t c msg =
-  let seq = t.up_seq in
-  t.up_seq <- seq + 1;
-  t.stats.frames_out <- t.stats.frames_out + 1;
-  t.stats.sheds <- t.stats.sheds + Conn.send_msg c ~seq msg
-
-let drop_up t =
-  (match t.up_conn with Some c -> Conn.close c | None -> ());
-  t.up_conn <- None
-
-let dial_primary t path =
-  match connect_unix path with
-  | Some fd ->
-      let c = Conn.create ~max_queue_bytes:t.cfg.max_queue_bytes fd in
-      t.up_conn <- Some c;
-      t.up_seq <- 0;
-      send_up t c
-        (Wire.Hello
-           {
-             role = Wire.Standby_role t.cfg.id;
-             session = t.session;
-             last_seen = 0;
-             epoch = t.epoch;
-           })
-  | None -> () (* primary down; the watchdog tick redials *)
-
-(* Feed one replication event into the standby's device; ack progress,
-   or tear the uplink down on stream-position disagreement so the
-   re-handshake resumes from our durable position. *)
-let apply_up_event t event =
-  match t.apply with
-  | None -> ()
-  | Some apply -> (
-      match Repl.Apply.apply apply event with
-      | Ok applied_lsn -> (
-          t.last_contact <- now ();
-          match t.up_conn with
-          | Some c -> send_up t c (Wire.Repl_stream (Wire.R_ack { applied_lsn }))
-          | None -> ())
-      | Error _ -> drop_up t)
-
-(* Everything the standby hears on its uplink: the Welcome that opens
-   the stream, then frames/rebases to apply and heartbeats to feed the
-   failover detector. *)
-let handle_up_msg t (_seq, msg) =
-  t.stats.frames_in <- t.stats.frames_in + 1;
-  match msg with
-  | Wire.Welcome { epoch; _ } -> (
-      t.last_contact <- now ();
-      if epoch > t.epoch then t.epoch <- epoch;
-      match (t.up_conn, t.apply) with
-      | Some c, Some apply ->
-          send_up t c
-            (Wire.Repl_stream
-               (Wire.R_hello { from_lsn = Repl.Apply.next_lsn apply }))
-      | _ -> ())
-  | Wire.Repl_stream (Wire.R_heartbeat { epoch; next_lsn = _ }) ->
-      t.last_contact <- now ();
-      if epoch > t.epoch then t.epoch <- epoch
-  | Wire.Repl_stream (Wire.R_frames { bytes }) ->
-      apply_up_event t (Repl.E_frames bytes)
-  | Wire.Repl_stream (Wire.R_snapshot { snap; wal; next_lsn }) ->
-      apply_up_event t (Repl.E_snapshot { snap; wal; next_lsn })
-  | Wire.Bye -> drop_up t
-  | Wire.Hello _ | Wire.Payload _ | Wire.Notify _ | Wire.Frame_ack _
-  | Wire.Repl_stream (Wire.R_hello _ | Wire.R_ack _) ->
-      () (* not primary→standby traffic *)
 
 let bind_listen path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
@@ -601,13 +588,11 @@ let promote t =
       in
       let epoch = max t.epoch (Broker_node.fence_epoch node) + 1 in
       Broker_node.raise_fence node ~epoch;
-      Broker_node.note_failover node;
       (* Recovery-time rewrites and the fence append are local history,
          not stream traffic for a (not yet attached) next standby. *)
       ignore (Repl.Ship.drain ship);
       t.node <- node;
       t.ship <- Some ship;
-      t.last_shipped <- Repl.Ship.frames_shipped ship;
       t.epoch <- epoch);
   t.listen_fd <- Some (bind_listen (socket_path ~sock_dir:t.cfg.sock_dir t.cfg.id));
   t.role <- Primary;
@@ -623,21 +608,17 @@ let fire_timer t timer =
       | None -> ()
       | Some peer -> (
           match Reliable_link.on_timeout peer.sender ~seq with
-          | Reliable_link.Not_tracked -> ()
-          | Reliable_link.Give_up -> t.stats.gave_up <- t.stats.gave_up + 1
+          | Reliable_link.Not_tracked | Reliable_link.Give_up -> ()
           | Reliable_link.Retransmit { item; rto } ->
               t.stats.retransmits <- t.stats.retransmits + 1;
-              (match peer.p_conn with
-              | Some c when peer.welcomed ->
-                  t.stats.frames_out <- t.stats.frames_out + 1;
-                  t.stats.sheds <-
-                    t.stats.sheds + Conn.send_msg c ~seq (Wire.Payload item)
+              (match peer.p_link with
+              | Some l when peer.welcomed ->
+                  emit_msg t l.conn ~seq (Wire.Payload item)
               | Some _ | None -> ());
               Reliable_link.set_timer peer.sender ~seq
                 (arm_cancelable t ~delay:rto (T_retransmit (pid, seq)))))
   | T_refresh ->
       if t.role = Primary then begin
-        t.stats.refresh_waves <- t.stats.refresh_waves + 1;
         List.iter
           (fun (key, client, sub) ->
             let epoch = Broker_node.subscription_epoch t.node ~key + 1 in
@@ -648,7 +629,6 @@ let fire_timer t timer =
       end
   | T_sweep ->
       if t.role = Primary then begin
-        t.stats.sweeps <- t.stats.sweeps + 1;
         let _expired, actions = Broker_node.sweep t.node ~now:(now ()) in
         apply_actions t actions;
         ignore (Broker_node.maybe_compact t.node);
@@ -657,13 +637,13 @@ let fire_timer t timer =
   | T_reconnect pid -> (
       if t.role = Primary then
         match find_peer t pid with
-        | Some peer when peer.p_conn = None -> try_connect t peer
+        | Some peer when peer.p_link = None -> try_connect t peer
         | Some _ | None -> ())
   | T_repl_hb ->
       if t.role = Primary then begin
         (match (t.ship, t.standby) with
         | Some ship, Some ic when t.standby_synced ->
-            send_inbound t ic
+            send t ic
               (Wire.Repl_stream
                  (Wire.R_heartbeat
                     { epoch = t.epoch; next_lsn = Repl.Ship.next_lsn ship }))
@@ -672,7 +652,7 @@ let fire_timer t timer =
       end
   | T_standby_check ->
       if t.role = Standby then begin
-        (match (t.up_conn, t.cfg.standby_of) with
+        (match (t.up, t.cfg.standby_of) with
         | None, Some path -> dial_primary t path
         | _ -> ());
         if now () -. t.last_contact > t.cfg.repl_hb_timeout then promote t
@@ -779,10 +759,7 @@ let create cfg =
       ship;
       standby = None;
       standby_synced = false;
-      last_shipped =
-        (match ship with Some s -> Repl.Ship.frames_shipped s | None -> 0);
-      up_conn = None;
-      up_seq = 0;
+      up = None;
       apply =
         (if is_standby then
            Option.map (fun d -> Repl.Apply.create ~device:d) raw_device
@@ -802,7 +779,7 @@ let create cfg =
                    Reliable_link.sender
                      { Reliable_link.rto = cfg.rto;
                        max_retries = cfg.max_retries };
-                 p_conn = None;
+                 p_link = None;
                  welcomed = false;
                  next_seq = 1;
                  reconnect_armed = false;
@@ -812,18 +789,7 @@ let create cfg =
       peer_recv = Hashtbl.create 8;
       client_recv = Hashtbl.create 64;
       client_conn = Hashtbl.create 64;
-      stats =
-        {
-          accepted = 0;
-          frames_in = 0;
-          frames_out = 0;
-          retransmits = 0;
-          gave_up = 0;
-          refresh_waves = 0;
-          sweeps = 0;
-          sheds = 0;
-          corrupt_conns = 0;
-        };
+      stats = { frames_in = 0; frames_out = 0; retransmits = 0; sheds = 0 };
     }
   in
   (match cfg.standby_of with
@@ -852,42 +818,14 @@ let accept_ready t listen_fd =
   let rec go () =
     match Unix.accept listen_fd with
     | fd, _ ->
-        t.stats.accepted <- t.stats.accepted + 1;
         let c = Conn.create ~max_queue_bytes:t.cfg.max_queue_bytes fd in
-        t.inbound <- { conn = c; who = Unknown; in_seq = 0 } :: t.inbound;
+        t.inbound <- { conn = c; who = Unknown; seq = 0 } :: t.inbound;
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | exception Unix.Unix_error (_, _, _) -> ()
   in
   go ()
-
-(* Drain every decoded frame from one connection; returns false when
-   the connection must be torn down. *)
-let drain_conn t ic =
-  let rec go () =
-    match Conn.next ic.conn with
-    | `Msg (seq, msg) ->
-        handle_msg t ic (seq, msg);
-        if Conn.closed ic.conn then false else go ()
-    | `Pending -> true
-    | `Corrupt _ ->
-        t.stats.corrupt_conns <- t.stats.corrupt_conns + 1;
-        false
-  in
-  go ()
-
-let read_conn t ic =
-  match Conn.recv ic.conn with
-  | `Data _ -> drain_conn t ic
-  | `Blocked -> true
-  | `Eof -> false
-
-(* Read the reply direction of a link we opened: Welcome and acks. The
-   throwaway inbound view only routes dispatch; nothing acked arrives
-   here, so its seq counter is never consulted. *)
-let read_outgoing t peer c =
-  read_conn t { conn = c; who = From_peer peer.p_id; in_seq = 0 }
 
 (* Forget a dead inbound connection; receive state stays for resume. *)
 let reap_inbound t ic =
@@ -915,7 +853,7 @@ let reap_inbound t ic =
                   reconnected client may already own the slot"] ->
           Hashtbl.remove t.client_conn c
       | Some _ | None -> ())
-  | From_peer _ | From_standby | Unknown -> ());
+  | From_peer _ | From_standby | Unknown | To_peer _ | Uplink -> ());
   t.inbound <-
     List.filter
       (fun other ->
@@ -937,38 +875,38 @@ let pump_repl t =
       let events = Repl.Ship.drain ship in
       (match t.standby with
       | Some ic when t.standby_synced && not (Conn.closed ic.conn) ->
-          List.iter (fun ev -> send_inbound t ic (event_to_msg ev)) events
-      | Some _ | None -> ());
-      let shipped = Repl.Ship.frames_shipped ship in
-      if shipped > t.last_shipped then begin
-        Broker_node.note_repl_frames t.node ~n:(shipped - t.last_shipped);
-        t.last_shipped <- shipped
-      end
+          List.iter (fun ev -> send t ic (event_to_msg ev)) events
+      | Some _ | None -> ())
+
+(* Drop a connection the pump gave up on. A handler may have dropped
+   it already (Bye, demotion); every arm is idempotent then. *)
+let drop_link t l =
+  match l.who with
+  | Uplink -> drop_up t
+  | To_peer peer -> drop_peer_conn t peer
+  | Unknown | From_peer _ | From_client _ | From_standby -> reap_inbound t l
 
 let step t =
   fire_due_timers t;
   pump_repl t;
-  let peer_list = Array.to_list t.peers in
+  (* Serviced in this order: uplink, dialed peers, accepted. *)
+  let links =
+    Option.to_list t.up
+    @ Array.fold_right
+        (fun peer acc ->
+          match peer.p_link with Some l -> l :: acc | None -> acc)
+        t.peers t.inbound
+  in
   let read_fds =
-    (match t.listen_fd with Some fd -> [ fd ] | None -> [])
-    @ (match t.up_conn with Some c -> [ Conn.fd c ] | None -> [])
-    @ List.map (fun ic -> Conn.fd ic.conn) t.inbound
-    @ List.filter_map (fun peer -> Option.map Conn.fd peer.p_conn) peer_list
+    List.fold_left
+      (fun fds l -> Conn.fd l.conn :: fds)
+      (Option.to_list t.listen_fd)
+      links
   in
   let write_fds =
     List.filter_map
-      (fun ic ->
-        if Conn.wants_write ic.conn then Some (Conn.fd ic.conn) else None)
-      t.inbound
-    @ (match t.up_conn with
-      | Some c when Conn.wants_write c -> [ Conn.fd c ]
-      | Some _ | None -> [])
-    @ List.filter_map
-        (fun peer ->
-          match peer.p_conn with
-          | Some c when Conn.wants_write c -> Some (Conn.fd c)
-          | Some _ | None -> None)
-        peer_list
+      (fun l -> if Conn.wants_write l.conn then Some (Conn.fd l.conn) else None)
+      links
   in
   let timeout =
     let horizon =
@@ -987,86 +925,28 @@ let step t =
   (match t.listen_fd with
   | Some fd when List.mem fd readable -> accept_ready t fd
   | Some _ | None -> ());
-  (* Standby uplink: flush, read the stream, redial on loss (via the
-     watchdog tick — an immediate redial here would spin). *)
-  (match t.up_conn with
-  | None -> ()
-  | Some c ->
-      let ok_w =
-        if List.mem (Conn.fd c) writable then Conn.flush c = `Ok else true
-      in
-      let ok_r =
-        if ok_w && List.mem (Conn.fd c) readable then (
-          match Conn.recv c with
-          | `Eof -> false
-          | `Blocked -> true
-          | `Data _ ->
-              let rec drain () =
-                match Conn.next c with
-                | `Msg m ->
-                    handle_up_msg t m;
-                    if t.up_conn = None || Conn.closed c then false else drain ()
-                | `Pending -> true
-                | `Corrupt _ ->
-                    t.stats.corrupt_conns <- t.stats.corrupt_conns + 1;
-                    false
-              in
-              drain ())
-        else ok_w
-      in
-      if (not ok_r) || Conn.closed c then drop_up t);
-  (* Peers: flush writes, read replies, reap dead links into backoff. *)
-  Array.iter
-    (fun peer ->
-      match peer.p_conn with
-      | None -> ()
-      | Some c ->
-          let ok_w =
-            if List.mem (Conn.fd c) writable then Conn.flush c = `Ok else true
-          in
-          let ok_r =
-            if ok_w && List.mem (Conn.fd c) readable then read_outgoing t peer c
-            else ok_w
-          in
-          if (not ok_r) || Conn.closed c then drop_peer_conn t peer)
-    t.peers;
+  let handle = handle_msg t in
   List.iter
-    (fun ic ->
-      if Conn.closed ic.conn then reap_inbound t ic
-      else begin
-        let ok_w =
-          if List.mem (Conn.fd ic.conn) writable then Conn.flush ic.conn = `Ok
-          else true
-        in
-        let ok_r =
-          if ok_w && List.mem (Conn.fd ic.conn) readable then read_conn t ic
-          else ok_w
-        in
-        if not ok_r then reap_inbound t ic
-      end)
-    t.inbound;
-  (* Opportunistic flush of everything still queued. *)
+    (fun l ->
+      let fd = Conn.fd l.conn in
+      if
+        not
+          (Conn.pump l.conn ~readable:(List.mem fd readable)
+             ~writable:(List.mem fd writable) handle l)
+      then drop_link t l)
+    links;
+  (* Flush what handling queued. *)
   pump_repl t;
-  Array.iter
-    (fun peer ->
-      match peer.p_conn with
-      | Some c when Conn.wants_write c ->
-          if Conn.flush c = `Closed then drop_peer_conn t peer
-      | Some _ | None -> ())
-    t.peers;
-  (match t.up_conn with
-  | Some c when Conn.wants_write c ->
-      if Conn.flush c = `Closed then drop_up t
-  | Some _ | None -> ());
   List.iter
-    (fun ic ->
-      if Conn.wants_write ic.conn && Conn.flush ic.conn = `Closed then
-        reap_inbound t ic)
-    t.inbound
+    (fun l ->
+      if Conn.wants_write l.conn && Conn.flush l.conn = `Closed then
+        drop_link t l)
+    links
 
 let shutdown t =
   Array.iter
-    (fun peer -> match peer.p_conn with Some c -> Conn.close c | None -> ())
+    (fun peer ->
+      match peer.p_link with Some l -> Conn.close l.conn | None -> ())
     t.peers;
   List.iter (fun ic -> Conn.close ic.conn) t.inbound;
   drop_up t;

@@ -102,15 +102,12 @@ type role = Primary | Standby | Fenced
     handshake carries a higher epoch. *)
 
 type stats = {
-  mutable accepted : int;
-  mutable frames_in : int;
+  mutable frames_in : int;  (** frames decoded, on every connection *)
   mutable frames_out : int;
-  mutable retransmits : int;
-  mutable gave_up : int;
-  mutable refresh_waves : int;
-  mutable sweeps : int;
-  mutable sheds : int;
-  mutable corrupt_conns : int;
+      (** frames queued, on every connection; a Notify batch counts
+          each of its frames *)
+  mutable retransmits : int;  (** acked payloads sent again on timeout *)
+  mutable sheds : int;  (** sheddable frames dropped by backpressure *)
 }
 
 val create : config -> t

@@ -21,7 +21,6 @@ type t = {
   mutable back : entry list;
   mutable head_off : int;
   mutable queued_bytes : int;
-  mutable shed_total : int;
   mutable closed : bool;
   mutable fd_closed : bool;
 }
@@ -39,7 +38,6 @@ let create ?(max_queue_bytes = 1 lsl 20) fd =
     back = [];
     head_off = 0;
     queued_bytes = 0;
-    shed_total = 0;
     closed = false;
     fd_closed = false;
   }
@@ -47,7 +45,6 @@ let create ?(max_queue_bytes = 1 lsl 20) fd =
 let fd t = t.fd
 let closed t = t.closed
 let queued_bytes t = t.queued_bytes
-let shed_total t = t.shed_total
 let wants_write t = (not t.closed) && (t.front <> [] || t.back <> [])
 
 let close t =
@@ -83,7 +80,6 @@ let shed t =
     t.front <- protected @ kept;
     t.back <- [];
     t.queued_bytes <- total;
-    t.shed_total <- t.shed_total + !dropped;
     !dropped
   end
 
@@ -154,3 +150,23 @@ let next t =
       | Error reason -> `Corrupt reason)
   | Codec.Decoder.D_need_more -> `Pending
   | Codec.Decoder.D_corrupt reason -> `Corrupt reason
+
+(* Top-level rather than local to [pump], so servicing a connection
+   allocates no closure. *)
+let rec drain t f x =
+  match next t with
+  | `Msg (seq, msg) ->
+      f x seq msg;
+      (not t.closed) && drain t f x
+  | `Pending -> true
+  | `Corrupt _ -> false
+
+let pump t ~readable ~writable f x =
+  (not t.closed)
+  && ((not writable) || flush t = `Ok)
+  && ((not readable)
+     ||
+     match recv t with
+     | `Eof -> false
+     | `Blocked -> true
+     | `Data _ -> drain t f x)

@@ -24,10 +24,6 @@ val fd : t -> Unix.file_descr
 val closed : t -> bool
 val queued_bytes : t -> int
 
-val shed_total : t -> int
-(** Sheddable frames dropped by backpressure over the connection's
-    lifetime. *)
-
 val wants_write : t -> bool
 (** True when queued bytes remain — include the fd in the select write
     set. *)
@@ -55,6 +51,20 @@ val recv : t -> [ `Data of int | `Blocked | `Eof ]
 val next : t -> [ `Msg of int * Wire.msg | `Pending | `Corrupt of string ]
 (** Pop the next decoded message ([seq, msg]); [`Corrupt] is sticky —
     tear the connection down. *)
+
+val pump :
+  t ->
+  readable:bool ->
+  writable:bool ->
+  ('a -> int -> Wire.msg -> unit) ->
+  'a ->
+  bool
+(** Service the connection once: {!flush} when [writable], then, when
+    [readable], one {!recv} whose decoded frames go to [f x seq msg] in
+    order. [false] when the connection is closed (by [f] too), hit EOF
+    or a write error, or its stream is corrupt — the caller drops it,
+    unless [f] already did. Pass a prebuilt [f] and the per-connection
+    state as [x], so a call allocates no closure. *)
 
 val close : t -> unit
 (** Idempotent. *)

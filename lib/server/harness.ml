@@ -235,16 +235,22 @@ let config ?(brokers = 3) ?(clients_per_broker = 2) ?(subs_per_client = 4)
     per_pub_timeout;
   }
 
+(* How the killed victim came back, and what that took. *)
+type comeback =
+  | Restarted of { recovery_seconds : float }
+  | Promoted of {
+      detection_seconds : float;
+      outage_seconds : float;
+      failover_reconnects : int;
+    }
+
 type result = {
   victim : int;
-  connections : int;  (** client connections across the fleet *)
-  recovery_seconds : float;
-      (** restart initiation to the first publication round-tripping
-          through the restarted broker *)
-  pre : Loadgen.result;  (** closed-loop phase before the kill *)
-  post : Loadgen.result;  (** closed-loop phase after recovery *)
+  connections : int;
+  comeback : comeback;
+  pre : Loadgen.result;
+  post : Loadgen.result;
   clean : bool;
-      (** both phases audit clean with byte-identical verdicts *)
 }
 
 let phase_clean (r : Loadgen.result) =
@@ -260,103 +266,6 @@ let align_mid_wave fleet clients ~victim ~interval =
   let frac = Float.rem elapsed interval in
   let wait = if frac <= target then target -. frac else interval -. frac +. target in
   pump_for clients wait
-
-let run cc =
-  let sock_dir = Filename.temp_dir "probsub-sock" "" in
-  let wal_root = Filename.temp_dir "probsub-wal" "" in
-  let fleet =
-    make_fleet ~seed:cc.seed ~brokers:cc.brokers ~arity:cc.arity
-      ~refresh_interval:cc.refresh_interval ~sock_dir ~wal_root
-  in
-  let clients = ref [] in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter Loadgen.close_client !clients;
-      stop_fleet fleet;
-      rm_rf sock_dir;
-      rm_rf wal_root)
-    (fun () ->
-      Array.iteri (fun i _ -> spawn fleet i) fleet.f_configs;
-      let rng = Prng.of_int cc.seed in
-      clients :=
-        List.concat
-          (List.init cc.brokers (fun b ->
-               List.init cc.clients_per_broker (fun j ->
-                   Loadgen.connect_client ~sock_dir ~broker:b
-                     ~client:((b * 100) + j + 1)
-                     ~seed:((cc.seed * 7919) + (b * 100) + j)
-                     ())));
-      let clients = !clients in
-      if not (Loadgen.wait_connected clients) then
-        failf "clients failed to connect";
-      let w =
-        Loadgen.install ~rng ~arity:cc.arity
-          ~subs_per_client:cc.subs_per_client clients
-      in
-      if not (Loadgen.wait_acked clients) then
-        failf "subscriptions were never acked";
-      (* Warm up: a probe in each direction across the whole line
-         proves the subscription flood reached every broker. *)
-      let last = cc.brokers - 1 in
-      let deadline = Clock.now () +. 30.0 in
-      let p_fwd, pub_fwd = cross_line_probe w clients ~src:0 ~dst:last in
-      let (_ : float) =
-        probe_until ~w ~clients ~publisher:p_fwd ~pub_base:2_000_000
-          ~pub:pub_fwd ~since:(Clock.now ()) ~deadline
-      in
-      let p_bwd, pub_bwd = cross_line_probe w clients ~src:last ~dst:0 in
-      let (_ : float) =
-        probe_until ~w ~clients ~publisher:p_bwd ~pub_base:2_100_000
-          ~pub:pub_bwd ~since:(Clock.now ()) ~deadline
-      in
-      (* Phase 1: healthy fleet. *)
-      let pre =
-        Loadgen.drive ~pub_base:1_000_000 ~rng ~arity:cc.arity ~pubs:cc.pubs
-          ~per_pub_timeout:cc.per_pub_timeout w
-      in
-      (* SIGKILL an interior broker mid-refresh-wave. *)
-      let victim = cc.brokers / 2 in
-      align_mid_wave fleet clients ~victim ~interval:cc.refresh_interval;
-      kill9 fleet victim;
-      (* Let the fleet notice: peers and the victim's clients see EOF
-         and enter backoff. *)
-      pump_for clients cc.refresh_interval;
-      (* Restart from the same WAL directory. *)
-      let t_restart = Clock.now () in
-      spawn fleet victim;
-      let recovery_seconds =
-        probe_until ~w ~clients ~publisher:p_fwd ~pub_base:2_200_000
-          ~pub:pub_fwd ~since:t_restart
-          ~deadline:(t_restart +. 60.0)
-      in
-      (* One refresh wave after recovery re-synchronizes lease epochs
-         everywhere; then the audited phase must be spotless. *)
-      pump_for clients cc.refresh_interval;
-      let post =
-        Loadgen.drive ~pub_base:3_000_000 ~rng ~arity:cc.arity ~pubs:cc.pubs
-          ~per_pub_timeout:cc.per_pub_timeout w
-      in
-      {
-        victim;
-        connections = List.length clients;
-        recovery_seconds;
-        pre;
-        post;
-        clean = phase_clean pre && phase_clean post;
-      })
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "victim=%d connections=%d recovery=%.3fs@ pre: %.1f pubs/s p50=%.2fms \
-     p99=%.2fms clean=%b@ post: %.1f pubs/s p50=%.2fms p99=%.2fms clean=%b"
-    r.victim r.connections r.recovery_seconds r.pre.Loadgen.pubs_per_sec
-    r.pre.Loadgen.p50_ms r.pre.Loadgen.p99_ms (phase_clean r.pre)
-    r.post.Loadgen.pubs_per_sec r.post.Loadgen.p50_ms r.post.Loadgen.p99_ms
-    (phase_clean r.post)
-
-(* ------------------------------------------------------------------ *)
-(* The failover scenario: same fleet, but the victim has a hot standby
-   and is never restarted — the standby must take over. *)
 
 (* A standby shadowing [victim]: same broker identity and neighbours
    (it inherits the victim's place in the topology on promotion),
@@ -410,23 +319,9 @@ let wait_takeover clients ~path ~since ~deadline =
   in
   go ()
 
-type failover_result = {
-  victim : int;
-  connections : int;  (** client connections across the fleet *)
-  detection_seconds : float;
-      (** SIGKILL to the promoted standby accepting on the victim's
-          socket path *)
-  outage_seconds : float;
-      (** SIGKILL to the first publication round-tripping through the
-          promoted standby *)
-  failover_reconnects : int;
-      (** clients that re-handshook at the raised epoch *)
-  pre : Loadgen.result;
-  post : Loadgen.result;
-  clean : bool;
-}
-
-let run_failover cc =
+(* The one scenario body. With [failover] the victim has a hot standby
+   and is never restarted; otherwise it is restarted on its own WAL. *)
+let scenario cc ~failover =
   let sock_dir = Filename.temp_dir "probsub-sock" "" in
   let wal_root = Filename.temp_dir "probsub-wal" "" in
   let fleet =
@@ -439,22 +334,18 @@ let run_failover cc =
   Fun.protect
     ~finally:(fun () ->
       List.iter Loadgen.close_client !clients;
-      (match !standby_pid with Some pid -> kill_pid pid | None -> ());
+      Option.iter kill_pid !standby_pid;
       stop_fleet fleet;
       rm_rf sock_dir;
       rm_rf wal_root)
     (fun () ->
       Array.iteri (fun i _ -> spawn fleet i) fleet.f_configs;
-      standby_pid := Some (fork_server (standby_config fleet ~victim));
+      if failover then
+        standby_pid := Some (fork_server (standby_config fleet ~victim));
       let rng = Prng.of_int cc.seed in
       clients :=
-        List.concat
-          (List.init cc.brokers (fun b ->
-               List.init cc.clients_per_broker (fun j ->
-                   Loadgen.connect_client ~sock_dir ~broker:b
-                     ~client:((b * 100) + j + 1)
-                     ~seed:((cc.seed * 7919) + (b * 100) + j)
-                     ())));
+        Loadgen.connect_clients ~sock_dir ~brokers:cc.brokers
+          ~per_broker:cc.clients_per_broker ~seed:cc.seed;
       let clients = !clients in
       if not (Loadgen.wait_connected clients) then
         failf "clients failed to connect";
@@ -464,6 +355,8 @@ let run_failover cc =
       in
       if not (Loadgen.wait_acked clients) then
         failf "subscriptions were never acked";
+      (* Warm up: a probe in each direction across the whole line
+         proves the subscription flood reached every broker. *)
       let last = cc.brokers - 1 in
       let deadline = Clock.now () +. 30.0 in
       let p_fwd, pub_fwd = cross_line_probe w clients ~src:0 ~dst:last in
@@ -476,28 +369,56 @@ let run_failover cc =
         probe_until ~w ~clients ~publisher:p_bwd ~pub_base:2_100_000
           ~pub:pub_bwd ~since:(Clock.now ()) ~deadline
       in
-      (* Phase 1: healthy fleet, standby streaming alongside. *)
+      (* Phase 1: healthy fleet (with the standby streaming alongside). *)
       let pre =
         Loadgen.drive ~pub_base:1_000_000 ~rng ~arity:cc.arity ~pubs:cc.pubs
           ~per_pub_timeout:cc.per_pub_timeout w
       in
-      (* SIGKILL the primary mid-refresh-wave; never restart it. The
-         standby's heartbeat watchdog must notice, promote over the
-         replicated WAL, raise the fence epoch and take the socket. *)
+      (* SIGKILL the interior victim mid-refresh-wave. *)
       align_mid_wave fleet clients ~victim ~interval:cc.refresh_interval;
       kill9 fleet victim;
       let t_kill = Clock.now () in
-      let path = Broker_server.socket_path ~sock_dir victim in
-      let detection_seconds =
-        wait_takeover clients ~path ~since:t_kill ~deadline:(t_kill +. 30.0)
+      (* The first probe to round-trip through the victim's successor. *)
+      let back_at ~pub_base ~since =
+        probe_until ~w ~clients ~publisher:p_fwd ~pub_base ~pub:pub_fwd ~since
+          ~deadline:(since +. 60.0)
       in
-      let outage_seconds =
-        probe_until ~w ~clients ~publisher:p_fwd ~pub_base:2_300_000
-          ~pub:pub_fwd ~since:t_kill
-          ~deadline:(t_kill +. 60.0)
+      (* Client reconnects are counted once the audited phase is over. *)
+      let comeback =
+        if failover then begin
+          (* The standby's heartbeat watchdog must notice, promote over
+             the replicated WAL, raise the fence epoch and take the
+             socket. *)
+          let detection_seconds =
+            wait_takeover clients
+              ~path:(Broker_server.socket_path ~sock_dir victim)
+              ~since:t_kill ~deadline:(t_kill +. 30.0)
+          in
+          let outage_seconds = back_at ~pub_base:2_300_000 ~since:t_kill in
+          fun () ->
+            Promoted
+              {
+                detection_seconds;
+                outage_seconds;
+                failover_reconnects =
+                  List.fold_left
+                    (fun n c -> n + Loadgen.failover_reconnects c)
+                    0 clients;
+              }
+        end
+        else begin
+          (* Let the fleet notice: peers and the victim's clients see
+             EOF and enter backoff. Then restart from the same WAL
+             directory. *)
+          pump_for clients cc.refresh_interval;
+          let t_restart = Clock.now () in
+          spawn fleet victim;
+          let recovery_seconds = back_at ~pub_base:2_200_000 ~since:t_restart in
+          fun () -> Restarted { recovery_seconds }
+        end
       in
-      (* One refresh wave re-synchronizes lease epochs through the new
-         primary; then the audited phase must be spotless. *)
+      (* One refresh wave re-synchronizes lease epochs everywhere; then
+         the audited phase must be spotless. *)
       pump_for clients cc.refresh_interval;
       let post =
         Loadgen.drive ~pub_base:3_000_000 ~rng ~arity:cc.arity ~pubs:cc.pubs
@@ -506,23 +427,54 @@ let run_failover cc =
       {
         victim;
         connections = List.length clients;
-        detection_seconds;
-        outage_seconds;
-        failover_reconnects =
-          List.fold_left
-            (fun n c -> n + Loadgen.failover_reconnects c)
-            0 clients;
+        comeback = comeback ();
         pre;
         post;
         clean = phase_clean pre && phase_clean post;
       })
 
-let pp_failover_result ppf r =
-  Format.fprintf ppf
-    "victim=%d connections=%d detection=%.3fs outage=%.3fs reconnects=%d@ \
-     pre: %.1f pubs/s p50=%.2fms p99=%.2fms clean=%b@ post: %.1f pubs/s \
-     p50=%.2fms p99=%.2fms clean=%b"
-    r.victim r.connections r.detection_seconds r.outage_seconds
-    r.failover_reconnects r.pre.Loadgen.pubs_per_sec r.pre.Loadgen.p50_ms
-    r.pre.Loadgen.p99_ms (phase_clean r.pre) r.post.Loadgen.pubs_per_sec
-    r.post.Loadgen.p50_ms r.post.Loadgen.p99_ms (phase_clean r.post)
+let run cc = scenario cc ~failover:false
+let run_failover cc = scenario cc ~failover:true
+
+let pp_result ppf r =
+  let phase name (p : Loadgen.result) =
+    Format.fprintf ppf "@ %s: %.1f pubs/s p50=%.2fms p99=%.2fms clean=%b" name
+      p.Loadgen.pubs_per_sec p.Loadgen.p50_ms p.Loadgen.p99_ms (phase_clean p)
+  in
+  Format.fprintf ppf "victim=%d connections=%d" r.victim r.connections;
+  (match r.comeback with
+  | Restarted { recovery_seconds } ->
+      Format.fprintf ppf " recovery=%.3fs" recovery_seconds
+  | Promoted { detection_seconds; outage_seconds; failover_reconnects } ->
+      Format.fprintf ppf " detection=%.3fs outage=%.3fs reconnects=%d"
+        detection_seconds outage_seconds failover_reconnects);
+  phase "pre" r.pre;
+  phase "post" r.post
+
+let json_fields cc r =
+  let f = Printf.sprintf in
+  let fields =
+    [
+      ("brokers", string_of_int cc.brokers);
+      ("connections", string_of_int r.connections);
+      ("pubs_per_phase", string_of_int cc.pubs);
+      ( "pre",
+        f "{ \"pubs_per_sec\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f }"
+          r.pre.Loadgen.pubs_per_sec r.pre.Loadgen.p50_ms
+          r.pre.Loadgen.p99_ms );
+      ("pubs_per_sec", f "%.1f" r.post.Loadgen.pubs_per_sec);
+      ("p50_ms", f "%.3f" r.post.Loadgen.p50_ms);
+      ("p99_ms", f "%.3f" r.post.Loadgen.p99_ms);
+    ]
+    @ (match r.comeback with
+      | Restarted { recovery_seconds } ->
+          [ ("recovery_seconds", f "%.3f" recovery_seconds) ]
+      | Promoted { detection_seconds; outage_seconds; failover_reconnects } ->
+          [
+            ("detection_seconds", f "%.3f" detection_seconds);
+            ("outage_seconds", f "%.3f" outage_seconds);
+            ("failover_reconnects", string_of_int failover_reconnects);
+          ])
+    @ [ ("verdicts_match", string_of_bool r.clean) ]
+  in
+  String.concat ",\n" (List.map (fun (k, v) -> f "  \"%s\": %s" k v) fields)

@@ -55,12 +55,26 @@ val config :
     per-publication deadline. @raise Invalid_argument on fewer than 2
     brokers or an empty workload. *)
 
+type comeback =
+  | Restarted of { recovery_seconds : float }
+      (** restart initiation to the first publication round-tripping
+          through the restarted broker *)
+  | Promoted of {
+      detection_seconds : float;
+          (** SIGKILL to the promoted standby accepting on the victim's
+              socket path *)
+      outage_seconds : float;
+          (** SIGKILL to the first publication round-tripping through
+              the promoted standby *)
+      failover_reconnects : int;
+          (** clients that re-handshook at the raised epoch *)
+    }
+(** How the killed victim came back, and what that took. *)
+
 type result = {
   victim : int;
   connections : int;  (** client connections across the fleet *)
-  recovery_seconds : float;
-      (** restart initiation to the first publication round-tripping
-          through the restarted broker *)
+  comeback : comeback;
   pre : Loadgen.result;  (** closed-loop phase before the kill *)
   post : Loadgen.result;  (** closed-loop phase after recovery *)
   clean : bool;
@@ -68,10 +82,9 @@ type result = {
 }
 
 val run : config -> result
-(** Execute the scenario, always reaping the children and removing the
-    temp directories. @raise Error on environmental failure. *)
-
-val pp_result : Format.formatter -> result -> unit
+(** Execute the scenario, restarting the victim from its WAL, always
+    reaping the children and removing the temp directories; the
+    comeback is [Restarted]. @raise Error on environmental failure. *)
 
 (** {1 Failover chaos}
 
@@ -83,26 +96,18 @@ val pp_result : Format.formatter -> result -> unit
     the fence epoch, binds the victim's socket path and serves in its
     place. *)
 
-type failover_result = {
-  victim : int;
-  connections : int;  (** client connections across the fleet *)
-  detection_seconds : float;
-      (** SIGKILL to the promoted standby accepting on the victim's
-          socket path *)
-  outage_seconds : float;
-      (** SIGKILL to the first publication round-tripping through the
-          promoted standby *)
-  failover_reconnects : int;
-      (** clients that re-handshook at the raised epoch *)
-  pre : Loadgen.result;
-  post : Loadgen.result;
-  clean : bool;
-      (** both phases audit clean with byte-identical verdicts *)
-}
+val run_failover : config -> result
+(** Execute the failover scenario (the same body as {!run}, the victim
+    [brokers / 2]); the comeback is [Promoted]. @raise Error on
+    environmental failure, including a standby that never takes
+    over. *)
 
-val run_failover : config -> failover_result
-(** Execute the failover scenario (the victim is [brokers / 2], as in
-    {!run}). @raise Error on environmental failure, including a
-    standby that never takes over. *)
+val pp_result : Format.formatter -> result -> unit
 
-val pp_failover_result : Format.formatter -> failover_result -> unit
+val json_fields : config -> result -> string
+(** The scenario's fields of [BENCH_serve.json] (a [Restarted] result)
+    or [BENCH_failover.json] (a [Promoted] one), from ["brokers"] to
+    ["verdicts_match"] (both phases clean), one ["  \"key\": value"]
+    per line, comma-separated, without the enclosing braces. The bench
+    adds its own [bench] and [fast] fields, and the failover bench
+    phase A's. *)

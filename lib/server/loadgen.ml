@@ -50,6 +50,17 @@ let connect_client ?(rto = 0.5) ?(max_retries = 10) ~sock_dir ~broker ~client
     failover_reconnects = 0;
   }
 
+(* [per_broker] clients homed at each of brokers [0 .. brokers - 1];
+   client [j] of broker [b] has id [100 b + j + 1]. *)
+let connect_clients ~sock_dir ~brokers ~per_broker ~seed =
+  List.concat
+    (List.init brokers (fun b ->
+         List.init per_broker (fun j ->
+             connect_client ~sock_dir ~broker:b
+               ~client:((b * 100) + j + 1)
+               ~seed:((seed * 7919) + (b * 100) + j)
+               ())))
+
 let connected t = t.conn <> None && t.welcomed
 let in_flight t = Reliable_link.in_flight t.sender
 let notifications t = List.rev t.received
@@ -119,7 +130,7 @@ let publish t ~id pub =
       true
   | Some _ | None -> false
 
-let handle_client_msg t msg =
+let handle_client_msg t _seq msg =
   match msg with
   | Wire.Welcome { last_seen = _; session = _; epoch }
     when epoch < t.epoch_seen ->
@@ -155,23 +166,13 @@ let poll t =
   let now = Clock.now () in
   (match t.conn with
   | None -> if now >= t.reconnect_at then try_connect t
-  | Some c -> (
-      (match Conn.flush c with `Closed -> drop_conn t | `Ok -> ());
-      match t.conn with
-      | None -> ()
-      | Some c -> (
-          match Conn.recv c with
-          | `Eof -> drop_conn t
-          | `Blocked | `Data _ ->
-              let rec drain () =
-                match Conn.next c with
-                | `Msg (_seq, msg) ->
-                    handle_client_msg t msg;
-                    if t.conn <> None then drain ()
-                | `Pending -> ()
-                | `Corrupt _ -> drop_conn t
-              in
-              drain ())));
+  | Some c ->
+      (* A handler that hung up has dropped the connection already;
+         dropping it again would burn a second backoff attempt. *)
+      if
+        (not (Conn.pump c ~readable:true ~writable:true handle_client_msg t))
+        && t.conn <> None
+      then drop_conn t);
   (* Retransmissions due. *)
   let rec fire () =
     match Event_queue.peek_time t.timers with

@@ -39,6 +39,12 @@ val connect_client :
 (** A client of broker [broker]; dials lazily from the first {!poll}.
     [rto] (default 0.5 s) governs control-message retransmission. *)
 
+val connect_clients :
+  sock_dir:string -> brokers:int -> per_broker:int -> seed:int -> client list
+(** [per_broker] default clients of each broker [0 .. brokers - 1],
+    broker by broker, with ids and backoff seeds derived from [seed]:
+    the client fleet of the chaos harness and [probsub loadgen]. *)
+
 val poll : client -> unit
 (** One non-blocking pump: reconnect if due, flush, read, fire due
     retransmission timers. Never blocks, never raises on socket

@@ -193,6 +193,22 @@ let r_uv s pos =
   done;
   (!v, !p)
 
+(* [r_uv] over [b.[pos .. stop - 1]], in place: the socket decoder
+   reads a frame's lsn without copying the frame out first. *)
+let r_uv_bytes b pos stop =
+  let v = ref 0 and shift = ref 0 and p = ref pos in
+  let continue = ref true in
+  while !continue do
+    if !p >= stop then raise (Bad "varint: truncated");
+    if !shift > 62 then raise (Bad "varint: overflow");
+    let byte = Char.code (Bytes.get b !p) in
+    incr p;
+    v := !v lor ((byte land 0x7F) lsl !shift);
+    shift := !shift + 7;
+    if byte land 0x80 = 0 then continue := false
+  done;
+  (!v, !p)
+
 let r_sv s pos =
   let v, p = r_uv s pos in
   (unzigzag v, p)
@@ -542,14 +558,18 @@ module Decoder = struct
           else if t.len < 8 + flen then D_need_more
           else begin
             let crc = get_u32b t.buf (t.pos + 4) in
-            let full = Bytes.sub_string t.buf (t.pos + 8) flen in
-            if Crc32.string_crc full ~pos:0 ~len:flen <> crc then begin
+            let start = t.pos + 8 in
+            let stop = start + flen in
+            if Crc32.bytes_crc t.buf ~pos:start ~len:flen <> crc then begin
               t.dead <- Some "frame checksum mismatch";
               D_corrupt "frame checksum mismatch"
             end
             else
-              match r_uv full 0 with
+              match r_uv_bytes t.buf start stop with
               | lsn, p ->
+                  (* The one copy: the payload, before the window is
+                     reused. *)
+                  let payload = Bytes.sub_string t.buf p (stop - p) in
                   t.pos <- t.pos + 8 + flen;
                   t.len <- t.len - (8 + flen);
                   if t.len = 0 then begin
@@ -557,8 +577,7 @@ module Decoder = struct
                     if Bytes.length t.buf > initial then
                       t.buf <- Bytes.create initial
                   end;
-                  D_frame
-                    { lsn; payload = String.sub full p (String.length full - p) }
+                  D_frame { lsn; payload }
               | exception Bad reason ->
                   t.dead <- Some reason;
                   D_corrupt reason

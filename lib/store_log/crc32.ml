@@ -12,11 +12,23 @@ let table =
       done;
       !c)
 
+(* [string_crc] and [bytes_crc] are the same loop over the two
+   buffer types, so neither caller converts one into the other. *)
 let string_crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Crc32.string_crc: slice out of range";
   let crc = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
     crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+  done;
+  !crc lxor 0xFFFFFFFF land 0xFFFFFFFF
+
+let bytes_crc b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Crc32.bytes_crc: slice out of range";
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc :=
+      table.((!crc lxor Char.code (Bytes.get b i)) land 0xFF) lxor (!crc lsr 8)
   done;
   !crc lxor 0xFFFFFFFF land 0xFFFFFFFF

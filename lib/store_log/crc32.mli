@@ -8,3 +8,6 @@
 val string_crc : string -> pos:int -> len:int -> int
 (** Checksum of [len] bytes of [s] starting at [pos], as a value in
     [0, 2^32). @raise Invalid_argument on an out-of-range slice. *)
+
+val bytes_crc : bytes -> pos:int -> len:int -> int
+(** {!string_crc} over a [bytes] slice, read in place. *)

@@ -429,21 +429,23 @@ let test_chaos_failover () =
   Alcotest.(check bool)
     (Printf.sprintf "audit clean across failover (seed %d)" seed)
     true r.Harness.clean;
-  Alcotest.(check bool)
-    (Printf.sprintf "takeover detected promptly (%.3fs, seed %d)"
-       r.Harness.detection_seconds seed)
-    true
-    (r.Harness.detection_seconds < 10.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "outage bounded (%.3fs, seed %d)" r.Harness.outage_seconds
-       seed)
-    true
-    (r.Harness.outage_seconds < 30.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "clients resumed at the new epoch (%d, seed %d)"
-       r.Harness.failover_reconnects seed)
-    true
-    (r.Harness.failover_reconnects >= 1)
+  match r.Harness.comeback with
+  | Harness.Restarted _ -> Alcotest.fail "the standby did not take over"
+  | Harness.Promoted { detection_seconds; outage_seconds; failover_reconnects }
+    ->
+      Alcotest.(check bool)
+        (Printf.sprintf "takeover detected promptly (%.3fs, seed %d)"
+           detection_seconds seed)
+        true
+        (detection_seconds < 10.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "outage bounded (%.3fs, seed %d)" outage_seconds seed)
+        true (outage_seconds < 30.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "clients resumed at the new epoch (%d, seed %d)"
+           failover_reconnects seed)
+        true
+        (failover_reconnects >= 1)
 
 let suite =
   [
