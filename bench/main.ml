@@ -753,7 +753,9 @@ let run_shard ~mode () =
    publication stream (9/10 points, 1/10 small boxes). A store builds
    its counting indexes at its first match, so one untimed match that
    consults every shard builds them before the timed pass; its time is
-   reported as index_build_s beside the store's build_s.
+   reported as index_build_s beside the store's build_s. After the
+   timed passes, each store takes stored/8 + 65 more subscriptions one
+   at a time; the slowest add, a compaction's stall, is worst_add_s.
    Every indexed hit list must be identical to the oracle's, or the
    bench hard-fails. The headline number is the reduction in
    one-by-one Publication.matches scans per publication: the oracle
@@ -906,6 +908,24 @@ let run_match ~mode () =
     "flat indexed matching does not reduce per-pub work by >= 5x";
   note (shard_work_red >= 5.0)
     "sharded indexed matching does not reduce per-pub work by >= 5x";
+  (* The add path's worst stall, after the timed passes so their
+     numbers keep their meaning: stored/8 + 65 more subscriptions, one
+     at a time, take pending appends past 64 + n/8, so each of the
+     flat store's attribute indexes compacts at least once. *)
+  let worst_add store =
+    let worst = ref 0.0 in
+    for i = p.mn to p.mn + (p.mn / 8) + 64 do
+      let _, dt =
+        time_s (fun () -> Subscription_store.add store (shard_sub ~m:p.mm i))
+      in
+      worst := Float.max !worst dt
+    done;
+    !worst
+  in
+  let flat_worst = worst_add flat in
+  let shard_worst = worst_add shard in
+  Printf.printf "worst single add: flat %.4fs, sharded %.4fs\n" flat_worst
+    shard_worst;
   let oc = open_out "BENCH_match.json" in
   Printf.fprintf oc "{\n  \"bench\": \"match\",\n  \"mode\": %S,\n" p.mlabel;
   Printf.fprintf oc
@@ -915,19 +935,19 @@ let run_match ~mode () =
   Printf.fprintf oc
     "  \"oracle\": { \"pubs_per_sec\": %.1f, \"avg_scans_per_pub\": %.1f },\n"
     (thru oracle_t) oracle_scans;
-  let emit_store name ~build ~index dt scans idx =
+  let emit_store name ~build ~index ~worst dt scans idx =
     Printf.fprintf oc
       "  %S: { \"build_s\": %.4f, \"index_build_s\": %.4f, \
        \"pubs_per_sec\": %.1f, \"avg_scans_per_pub\": %.1f, \
        \"avg_index_hits_per_pub\": %.1f, \"scan_reduction_x\": %.1f, \
-       \"work_reduction_x\": %.1f },\n"
+       \"work_reduction_x\": %.1f, \"worst_add_s\": %.4f },\n"
       name build index (thru dt) scans idx (reduction scans)
-      (work_reduction scans idx)
+      (work_reduction scans idx) worst
   in
-  emit_store "flat" ~build:flat_build_t ~index:flat_index_t flat_t flat_scans
-    flat_idx;
-  emit_store "sharded" ~build:shard_build_t ~index:shard_index_t shard_t
-    shard_scans shard_idx;
+  emit_store "flat" ~build:flat_build_t ~index:flat_index_t ~worst:flat_worst
+    flat_t flat_scans flat_idx;
+  emit_store "sharded" ~build:shard_build_t ~index:shard_index_t
+    ~worst:shard_worst shard_t shard_scans shard_idx;
   Printf.fprintf oc "  \"hit_lists_identical\": %b\n}\n" !all_ok;
   close_out oc;
   print_endline "wrote BENCH_match.json";

@@ -1,5 +1,5 @@
 (* Incremental counting index. Mutations maintain per-attribute
-   {!Interval_index.Dyn} structures keyed by *slot*: a dense integer
+   {!Interval_index} structures keyed by *slot*: a dense integer
    the matcher assigns on add and recycles on remove, so every
    per-publication data structure is a flat int array indexed by slot.
    Match-time state (hit counters, hit buffer) is preallocated and
@@ -25,7 +25,7 @@ type t = {
   mutable next_stamp : int;
   (* One dynamic index per attribute, holding the constrained ranges
      of the current occupants (full ranges are not indexed). *)
-  mutable indexes : Interval_index.Dyn.t array;
+  mutable indexes : Interval_index.t array;
   (* Fully-unconstrained subscriptions match every publication and
      live outside the indexes: a dense slot array with a per-slot
      reverse position for O(1) swap-removal. *)
@@ -73,7 +73,7 @@ let create ~arity () =
     }
   in
   let live ~key ~stamp = key < t.nslots && t.gen.(key) = stamp in
-  t.indexes <- Array.init arity (fun _ -> Interval_index.Dyn.create ~live ());
+  t.indexes <- Array.init arity (fun _ -> Interval_index.create ~live ());
   t.on_hit <-
     (fun slot ->
       t.inspections <- t.inspections + 1;
@@ -128,7 +128,7 @@ let alloc_slot t =
   end
 
 (* [put] files one constrained range in its attribute's index:
-   {!Interval_index.Dyn.add} on the incremental path, the compaction-free
+   {!Interval_index.add} on the incremental path, the compaction-free
    [append] while {!build} bulk-loads. *)
 let insert t ~id sub ~put =
   if Subscription.arity sub <> t.arity then
@@ -162,7 +162,7 @@ let insert t ~id sub ~put =
         put t.indexes.(attr) ~key:slot ~stamp (Subscription.range sub attr))
       constrained
 
-let add t ~id sub = insert t ~id sub ~put:Interval_index.Dyn.add
+let add t ~id sub = insert t ~id sub ~put:Interval_index.add
 
 let remove t ~id =
   match Hashtbl.find_opt t.entries id with
@@ -182,7 +182,7 @@ let remove t ~id =
           t.nuniversal <- last
       | constrained ->
           List.iter
-            (fun attr -> Interval_index.Dyn.note_dead t.indexes.(attr))
+            (fun attr -> Interval_index.note_dead t.indexes.(attr))
             constrained);
       if t.nfree = Array.length t.free then begin
         let bigger = Array.make (2 * t.nfree) 0 in
@@ -192,8 +192,6 @@ let remove t ~id =
       t.free.(t.nfree) <- slot;
       t.nfree <- t.nfree + 1
 
-let rebuild t = Array.iter Interval_index.Dyn.compact t.indexes
-
 (* One pass: every constrained range lands in its attribute's pending
    buffer, then each index compacts once, where n {!add}s would compact
    geometrically on the way. *)
@@ -202,9 +200,9 @@ let build ~arity ids subs ~len =
     invalid_arg "Counting_matcher.build: len";
   let t = create ~arity () in
   for i = 0 to len - 1 do
-    insert t ~id:ids.(i) subs.(i) ~put:Interval_index.Dyn.append
+    insert t ~id:ids.(i) subs.(i) ~put:Interval_index.append
   done;
-  rebuild t;
+  Array.iter Interval_index.compact t.indexes;
   t
 
 (* Start a publication: bump the counter generation (O(1) logical
@@ -229,7 +227,7 @@ let run_point t p =
     invalid_arg "Counting_matcher.match_point: arity mismatch";
   begin_pub t;
   for attr = 0 to t.arity - 1 do
-    Interval_index.Dyn.iter_stab t.indexes.(attr) p.(attr) ~f:t.on_hit
+    Interval_index.iter_stab t.indexes.(attr) p.(attr) ~f:t.on_hit
   done;
   push_universal t
 
@@ -248,7 +246,7 @@ let run_box t b =
   for attr = 0 to t.arity - 1 do
     let q = Subscription.range b attr in
     if not (Interval.is_full q) then
-      Interval_index.Dyn.iter_containing t.indexes.(attr) q ~f:t.on_hit
+      Interval_index.iter_containing t.indexes.(attr) q ~f:t.on_hit
   done;
   push_universal t
 

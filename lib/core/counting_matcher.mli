@@ -4,7 +4,7 @@
 
     Instead of testing each subscription against a publication
     (O(m·k)), the matcher indexes every {e constrained} range in a
-    per-attribute {!Interval_index.Dyn}; a publication stabs each index
+    per-attribute {!Interval_index}; a publication stabs each index
     once and counts, per subscription, how many of its predicates were
     satisfied. A subscription matches iff the count equals its number
     of constrained attributes. Cost per publication:
@@ -15,13 +15,13 @@
     per-attribute indexes directly (amortized compaction rides the
     mutation path). A populated set is indexed in one pass by
     {!build} instead, which is how a store's {!Active_set} builds its
-    index at its first match. The match path allocates no scratch
-    state —
-    hit counters live in preallocated slot-indexed [int array]s reset
-    in O(1) per publication by a generation stamp, and slots recycled
-    across removals carry fresh stamps so stale index entries can
-    never score. Box publications run the same counting scheme with a
-    per-attribute {e containment} query instead of a stab. *)
+    index at its first match. The match path allocates nothing: the
+    index queries read flat arrays, hit counters live in preallocated
+    slot-indexed [int array]s reset in O(1) per publication by a
+    generation stamp, and slots recycled across removals carry fresh
+    stamps so stale index entries can never score. Box publications
+    run the same counting scheme with a per-attribute {e containment}
+    query instead of a stab. *)
 
 type t
 
@@ -32,7 +32,7 @@ val build : arity:int -> int array -> Subscription.t array -> len:int -> t
 (** [build ~arity ids subs ~len] indexes the first [len] pairs
     [(ids.(i), subs.(i))] in one pass: every constrained range is
     appended to its attribute's index and each index is compacted
-    once. It answers every query as [len]
+    once, in O(n log n). It answers every query as [len]
     {!add}s would — {!iter_matches} order aside, which is unspecified
     either way. This is how {!Active_set} builds its index at its
     first match. @raise Invalid_argument if [len] exceeds either
@@ -65,14 +65,11 @@ val match_publication : t -> Publication.t -> int list
 val iter_matches : t -> Publication.t -> f:(int -> unit) -> unit
 (** [iter_matches t pub ~f] calls [f id] once per matching
     subscription, in unspecified order, without building the result
-    list — the store's hot entry point. Not reentrant: the callback
-    must not call back into [t]. *)
+    list — the store's hot entry point. It allocates nothing beyond
+    what [f] does. Not reentrant: the callback must not call back into
+    [t]. *)
 
 val inspections : t -> int
 (** Monotone count of per-attribute index hits processed by match
     calls since creation — the matcher's unit of work, the counting
     analogue of the store's scan counters. *)
-
-val rebuild : t -> unit
-(** Force-compact every per-attribute index now (e.g. before a latency
-    measurement). Matching never compacts; mutations do, amortized. *)

@@ -59,7 +59,6 @@ type t = {
      striped ones — so the entry table and children index stay
      global. *)
   shards : shard array;
-  stripe_index : Interval_index.t; (* stripe regions, for fan-out *)
   stripe_lo : int array; (* stripe lower bounds, for routing *)
   entries : (id, entry) Hashtbl.t;
   (* Algorithm 5's multi-level optimization: active coverer ->
@@ -135,8 +134,6 @@ let create ?(policy = Group_policy Engine.default_config) ?(shards = 1)
     shards =
       Array.init shards (fun i ->
           if i < nstripes then mk_shard regions.(i) else mk_shard Interval.full);
-    stripe_index =
-      Interval_index.build (List.init nstripes (fun i -> (i, regions.(i))));
     stripe_lo = Array.map Interval.lo regions;
     entries = Hashtbl.create 64;
     children = Hashtbl.create 64;
@@ -171,38 +168,51 @@ let emit t op =
 
 (* {2 Routing} *)
 
+(* The stripe whose region holds [v]: the last one starting at or
+   below it (regions are contiguous and ascending), or -1 below them
+   all. Only meaningful with stripes. *)
+let stripe_at t v =
+  if v < t.stripe_lo.(0) then -1
+  else begin
+    let lo = ref 0 and hi = ref (Array.length t.stripe_lo - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if t.stripe_lo.(mid) <= v then lo := mid else hi := mid - 1
+    done;
+    !lo
+  end
+
 (* The unique stripe whose region fully contains the subscription's
    first-attribute interval; the fallback when it spans a cut or lies
-   below the extended span. Regions are contiguous, so the candidate
-   stripe is the last one starting at or below the interval. *)
+   below the extended span. *)
 let home_of t s =
   let nstripes = Array.length t.shards - 1 in
   if nstripes = 0 then 0
   else begin
     let iv = Subscription.range s 0 in
-    let vlo = Interval.lo iv in
-    if vlo < t.stripe_lo.(0) then nstripes
-    else begin
-      (* Largest i with stripe_lo.(i) <= vlo. *)
-      let lo = ref 0 and hi = ref (nstripes - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi + 1) / 2 in
-        if t.stripe_lo.(mid) <= vlo then lo := mid else hi := mid - 1
-      done;
-      if Interval.subset iv t.shards.(!lo).region then !lo else nstripes
-    end
+    let i = stripe_at t (Interval.lo iv) in
+    if i >= 0 && Interval.subset iv t.shards.(i).region then i else nstripes
   end
 
 (* Call [f] on every shard a box with first-attribute interval [q0 x]
-   can overlap: the stripes sharing a point with it, then the
-   fallback. Actives in any other stripe are disjoint from the box on
+   can overlap: the stripes sharing a point with it, ascending, then
+   the fallback. They are a contiguous run starting at the stripe that
+   holds the interval's low end (stripe 0 when it starts below them
+   all). Actives in any other stripe are disjoint from the box on
    attribute 0 — exactly what the engine's pruning would discard. The
    interval is computed only when there are stripes to route among,
    so a one-shard store visits its one shard without allocating. *)
 let iter_consulted t ~q0 x ~f =
-  if Array.length t.shards > 1 then
-    Interval_index.iter_overlapping t.stripe_index (q0 x) ~f;
-  f (fallback_shard t)
+  let nstripes = Array.length t.shards - 1 in
+  if nstripes > 0 then begin
+    let q = q0 x in
+    let i = ref (max 0 (stripe_at t (Interval.lo q))) in
+    while !i < nstripes && Interval.intersects q t.shards.(!i).region do
+      f !i;
+      incr i
+    done
+  end;
+  f nstripes
 
 (* {2 Entry bookkeeping} *)
 

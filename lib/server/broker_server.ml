@@ -140,11 +140,15 @@ type stats = {
   mutable sheds : int;
 }
 
+(* The listening socket and the inode its path named right after
+   [bind]: a successor that rebinds the path makes a new one. *)
+type listener = { l_fd : Unix.file_descr; l_dev : int; l_ino : int }
+
 type t = {
   cfg : config;
   mutable node : Broker_node.t;
   session : int;
-  mutable listen_fd : Unix.file_descr option;
+  mutable listener : listener option;
   timers : timer Event_queue.t;
   peers : peer array;
   mutable inbound : link list;
@@ -374,10 +378,10 @@ let demote t ~epoch =
   Broker_node.raise_fence t.node ~epoch;
   t.epoch <- epoch;
   t.role <- Fenced;
-  (match t.listen_fd with
-  | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+  (match t.listener with
+  | Some l -> ( try Unix.close l.l_fd with Unix.Unix_error _ -> ())
   | None -> ());
-  t.listen_fd <- None;
+  t.listener <- None;
   Array.iter
     (fun peer ->
       (match peer.p_link with Some l -> Conn.close l.conn | None -> ());
@@ -559,10 +563,12 @@ let bind_listen path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match
     Unix.bind fd (Unix.ADDR_UNIX path);
+    let st = Unix.stat path in
     Unix.listen fd 64;
-    Unix.set_nonblock fd
+    Unix.set_nonblock fd;
+    st
   with
-  | () -> fd
+  | st -> { l_fd = fd; l_dev = st.Unix.st_dev; l_ino = st.Unix.st_ino }
   | exception e ->
       (* EADDRINUSE / permission failures must not leak the socket:
          create is retried by the harness after a crashed broker. *)
@@ -594,7 +600,7 @@ let promote t =
       t.node <- node;
       t.ship <- Some ship;
       t.epoch <- epoch);
-  t.listen_fd <- Some (bind_listen (socket_path ~sock_dir:t.cfg.sock_dir t.cfg.id));
+  t.listener <- Some (bind_listen (socket_path ~sock_dir:t.cfg.sock_dir t.cfg.id));
   t.role <- Primary;
   Array.iter (fun peer -> try_connect t peer) t.peers;
   arm t ~delay:t.cfg.refresh_interval T_refresh;
@@ -751,7 +757,7 @@ let create cfg =
       cfg;
       node;
       session;
-      listen_fd = None;
+      listener = None;
       timers = Event_queue.create ();
       role = (if is_standby then Standby else Primary);
       epoch = (if is_standby then 0 else Broker_node.fence_epoch node);
@@ -807,7 +813,7 @@ let create cfg =
           t.epoch <- e;
           t.role <- Fenced
       | `Free ->
-          t.listen_fd <- Some (bind_listen path);
+          t.listener <- Some (bind_listen path);
           Array.iter (fun peer -> try_connect t peer) t.peers;
           arm t ~delay:cfg.refresh_interval T_refresh;
           arm t ~delay:cfg.refresh_interval T_sweep;
@@ -900,7 +906,7 @@ let step t =
   let read_fds =
     List.fold_left
       (fun fds l -> Conn.fd l.conn :: fds)
-      (Option.to_list t.listen_fd)
+      (match t.listener with Some l -> [ l.l_fd ] | None -> [])
       links
   in
   let write_fds =
@@ -922,8 +928,8 @@ let step t =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
     | exception Unix.Unix_error (Unix.EBADF, _, _) -> ([], [])
   in
-  (match t.listen_fd with
-  | Some fd when List.mem fd readable -> accept_ready t fd
+  (match t.listener with
+  | Some l when List.mem l.l_fd readable -> accept_ready t l.l_fd
   | Some _ | None -> ());
   let handle = handle_msg t in
   List.iter
@@ -950,12 +956,17 @@ let shutdown t =
     t.peers;
   List.iter (fun ic -> Conn.close ic.conn) t.inbound;
   drop_up t;
-  match t.listen_fd with
+  match t.listener with
   | None -> () (* never bound (standby) or fenced: the path is not ours *)
-  | Some fd -> (
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      try Unix.unlink (socket_path ~sock_dir:t.cfg.sock_dir t.cfg.id)
-      with Unix.Unix_error _ -> ())
+  | Some l -> (
+      (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
+      (* A standby promoted while this process was presumed dead has
+         rebound the path: it names another inode, and stays. *)
+      let path = socket_path ~sock_dir:t.cfg.sock_dir t.cfg.id in
+      match Unix.stat path with
+      | st when st.Unix.st_dev = l.l_dev && st.Unix.st_ino = l.l_ino -> (
+          try Unix.unlink path with Unix.Unix_error _ -> ())
+      | _ | (exception Unix.Unix_error _) -> ())
 
 let run ?(on_ready = fun () -> ()) ?(should_stop = fun () -> false) cfg =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

@@ -109,6 +109,68 @@ let test_arity_checks () =
     (Invalid_argument "Counting_matcher.create: arity < 1") (fun () ->
       ignore (Counting_matcher.create ~arity:0 ()))
 
+(* The match path reads flat arrays only: a matcher built in one pass,
+   with live, retired and pending entries in every index, matches point
+   and box publications without allocating. Each publication runs once
+   first, so the hit buffer has reached its size. *)
+let test_match_allocates_nothing () =
+  List.iter
+    (fun arity ->
+      let rng = Prng.of_int (31 + arity) in
+      let range () =
+        if Prng.int rng 4 = 0 then Interval.full
+        else
+          let lo = Prng.int rng 1000 in
+          Interval.make ~lo ~hi:(lo + Prng.int rng 400)
+      in
+      let random_sub () =
+        Subscription.of_list (List.init arity (fun _ -> range ()))
+      in
+      let n = 2000 in
+      let t =
+        Counting_matcher.build ~arity (Array.init n Fun.id)
+          (Array.init n (fun _ -> random_sub ()))
+          ~len:n
+      in
+      for id = 0 to 99 do
+        Counting_matcher.remove t ~id
+      done;
+      for id = n to n + 49 do
+        Counting_matcher.add t ~id (random_sub ())
+      done;
+      let points =
+        Array.init 50 (fun _ ->
+            Publication.point (Array.init arity (fun _ -> Prng.int rng 1200)))
+      in
+      let boxes =
+        Array.init 50 (fun _ ->
+            Publication.box
+              (Subscription.of_list
+                 (List.init arity (fun _ ->
+                      let lo = Prng.int rng 1200 in
+                      Interval.make ~lo ~hi:(lo + Prng.int rng 20)))))
+      in
+      let hits = ref 0 in
+      let f _ = incr hits in
+      let words_per_pub pubs =
+        Array.iter (fun p -> Counting_matcher.iter_matches t p ~f) pubs;
+        let calls = 2000 in
+        let before = Gc.minor_words () in
+        for i = 0 to calls - 1 do
+          Counting_matcher.iter_matches t pubs.(i mod Array.length pubs) ~f
+        done;
+        let words = Gc.minor_words () -. before in
+        int_of_float (words /. float_of_int calls)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "minor words per point publication, arity %d" arity)
+        0 (words_per_pub points);
+      Alcotest.(check int)
+        (Printf.sprintf "minor words per box publication, arity %d" arity)
+        0 (words_per_pub boxes);
+      Alcotest.(check bool) "publications matched" true (!hits > 0))
+    [ 4; 11 ]
+
 let suite =
   [
     Alcotest.test_case "basic counting" `Quick test_basic;
@@ -118,4 +180,6 @@ let suite =
     Alcotest.test_case "box publications" `Quick test_box_publication;
     Alcotest.test_case "randomized vs naive" `Quick test_against_naive;
     Alcotest.test_case "arity validation" `Quick test_arity_checks;
+    Alcotest.test_case "matching allocates nothing" `Quick
+      test_match_allocates_nothing;
   ]

@@ -447,6 +447,44 @@ let test_chaos_failover () =
         true
         (failover_reconnects >= 1)
 
+(* A graceful exit unlinks the socket path only while it still names
+   the socket this server bound. A successor (a standby promoted while
+   this primary was presumed dead) rebinds the path the way
+   [bind_listen] does, unlink then bind; the old primary's shutdown
+   must leave that path alone. *)
+let test_shutdown_spares_a_rebound_path () =
+  let sock_dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf sock_dir)
+    (fun () ->
+      let cfg =
+        Broker_server.config ~id:0 ~neighbors:[] ~sock_dir ~arity:1 ~seed:2 ()
+      in
+      let path = Broker_server.socket_path ~sock_dir 0 in
+      Broker_server.shutdown (Broker_server.create cfg);
+      Alcotest.(check bool)
+        "an owner unlinks its own path" false (Sys.file_exists path);
+      let srv = Broker_server.create cfg in
+      Unix.unlink path;
+      let successor = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close successor)
+        (fun () ->
+          Unix.bind successor (Unix.ADDR_UNIX path);
+          Unix.listen successor 8;
+          Broker_server.shutdown srv;
+          Alcotest.(check bool)
+            "the successor's path survives" true (Sys.file_exists path);
+          let c = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close c)
+            (fun () ->
+              match Unix.connect c (Unix.ADDR_UNIX path) with
+              | () -> ()
+              | exception Unix.Unix_error (e, _, _) ->
+                  Alcotest.failf "the successor refuses connections: %s"
+                    (Unix.error_message e))))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_scan_from_resume;
@@ -465,4 +503,6 @@ let suite =
       test_inprocess_promotion;
     Alcotest.test_case "kill -9 failover: hot standby misses nothing" `Slow
       test_chaos_failover;
+    Alcotest.test_case "shutdown spares a rebound socket path" `Quick
+      test_shutdown_spares_a_rebound_path;
   ]

@@ -373,6 +373,65 @@ let test_check_follows_caller_stream () =
     "RSPC found point witnesses that differ across streams" true
     (List.length (List.sort_uniq compare !witnesses) >= 10)
 
+(* Fan-out at the stripe cuts. Over [domain0] = [0, 99], a 5-shard
+   store has four stripes, cut between 24|25, 49|50 and 74|75.
+   Subscriptions sit on both sides of every cut, across it, outside
+   [domain0] (in an outer stripe or, below the sentinels, in the
+   fallback) and unconstrained. Box publications start or end on a
+   cut, lie outside [domain0] or wholly below [Interval.unbounded_lo],
+   or span every stripe. Each must be answered as the one-shard store
+   answers it: the same match set and the same report. *)
+let test_fanout_at_cuts () =
+  let lo0 = Interval.unbounded_lo and hi0 = Interval.unbounded_hi in
+  let cuts = [ 24; 49; 74 ] in
+  let firsts =
+    List.concat_map
+      (fun b ->
+        [ iv (b - 4) b; iv b b; iv (b + 1) (b + 1); iv (b + 1) (b + 5);
+          iv (b - 2) (b + 3) ])
+      cuts
+    @ [ iv (-30) (-20); iv 120 130; iv (lo0 - 10) (lo0 - 5);
+        iv (lo0 - 3) (lo0 + 3); iv 0 99; Interval.full ]
+  in
+  let flat = Subscription_store.create ~arity:2 ~seed:13 () in
+  let shd = Subscription_store.create ~shards:5 ~domain0 ~arity:2 ~seed:13 () in
+  List.iteri
+    (fun i a0 ->
+      let s = Subscription.of_list [ a0; iv (i mod 3) (20 + (i mod 7)) ] in
+      ignore (Subscription_store.add flat s);
+      ignore (Subscription_store.add shd s))
+    firsts;
+  Alcotest.(check bool)
+    "every shard holds actives" true
+    (Array.for_all (fun n -> n > 0) (Subscription_store.shard_actives shd));
+  let on_cuts =
+    List.concat_map
+      (fun b ->
+        List.concat_map
+          (fun lo ->
+            List.filter_map
+              (fun hi -> if lo <= hi then Some (iv lo hi) else None)
+              [ b; b + 1; b + 5 ])
+          [ b - 4; b; b + 1 ])
+      cuts
+  in
+  List.iter
+    (fun q0 ->
+      let p = Publication.box (Subscription.of_list [ q0; iv 5 6 ]) in
+      let what = Interval.to_string q0 in
+      Alcotest.(check (list int))
+        ("match set at " ^ what)
+        (Subscription_store.match_publication flat p)
+        (Subscription_store.match_publication shd p);
+      let check t =
+        Subscription_store.check_publication t ~rng:(Prng.of_int 5) p
+      in
+      Alcotest.(check bool) ("report at " ^ what) true (check flat = check shd))
+    (on_cuts
+    @ [ iv (-30) (-25); iv 110 130; iv (lo0 - 10) (lo0 - 5);
+        iv (hi0 + 1) (hi0 + 5); iv (lo0 - 5) (hi0 + 5); iv (-1000) 1000;
+        Interval.full ])
+
 let suite =
   [
     Alcotest.test_case "fallback shard covers striped subs" `Quick
@@ -383,4 +442,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mirror;
     Alcotest.test_case "check follows the caller's RSPC stream" `Quick
       test_check_follows_caller_stream;
+    Alcotest.test_case "stripe fan-out at the cuts" `Quick test_fanout_at_cuts;
   ]
